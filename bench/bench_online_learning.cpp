@@ -9,6 +9,7 @@
 //   machine-independent) for the benchmark-regression gate
 //   (scripts/check_bench.py).
 #include <chrono>
+#include <span>
 #include <string>
 
 #include "bench_common.hpp"
@@ -107,7 +108,11 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < 128; ++i) {
         if (rng.bernoulli(0.2)) pre.set(i);
       }
-      learner.reward(update % 16, pre);
+      const learning::PendingUpdate event{pre, update % 16u, /*causal=*/true};
+      const learning::PendingUpdate* ev = &event;
+      learner.apply_column(
+          event.column,
+          std::span<const learning::PendingUpdate* const>(&ev, 1));
     }
     const double time_us = util::in_microseconds(learner.stats().time);
     if (kind == sram::CellKind::k1RW) base_time_us = time_us;

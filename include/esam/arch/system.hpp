@@ -58,6 +58,30 @@ enum class ExecutionEngine : std::uint8_t {
   kSequential,
 };
 
+/// Closed-form lockstep schedule of the cascaded tiles, rebuilt from each
+/// sample's per-tile burst lengths. A tile's busy cycles per sample do not
+/// depend on the schedule (while stalled on its downstream neighbour it
+/// holds its output and does nothing), so for sample s and tile t:
+///   latch[0](s)   = s == 0 ? first_latch : freed[0](s-1);
+///   fire[t](s)    = latch[t](s) + busy[t](s);
+///   freed[t](s)   = t == last ? fire[t](s) (retired in order)
+///                   : max(fire[t](s), freed[t+1](s-1));
+///   latch[t+1](s) = freed[t](s).
+/// The max models the downstream-first handoff scan, which lets a freed
+/// tile accept in the cycle its neighbour drained.
+class PipelineSchedule {
+ public:
+  PipelineSchedule(std::size_t tiles, std::uint64_t first_latch)
+      : freed_(tiles, 0), next_latch_(first_latch) {}
+
+  /// Schedules the next sample; returns the cycle its last tile retires it.
+  std::uint64_t push(std::span<const std::uint64_t> busy);
+
+ private:
+  std::vector<std::uint64_t> freed_;
+  std::uint64_t next_latch_;
+};
+
 /// Execution configuration of the batched engine. This is a *simulation
 /// software* concern (how fast the simulator itself runs), not a hardware
 /// model parameter: the modelled cycle counts and energies depend only on
@@ -116,13 +140,13 @@ struct OnlineTrainConfig {
   /// num_threads is a simulation-software knob only: eval results are
   /// bit-identical for every thread count.
   RunConfig eval{};
-  /// Execution config of the training windows: num_threads workers shard
-  /// each window's forward passes over per-worker tile clones (resynced
-  /// column-wise after every commit). Pure simulation-software knob --
-  /// modelled results depend only on update_interval; the engine field is
-  /// accepted for symmetry but training always uses the per-sample burst
-  /// walk (both engines are bit-identical per sample anyway).
-  RunConfig train{};
+  /// Worker threads running each window's forward passes, one sample per
+  /// work item, on per-worker tile clones resynced column-wise after every
+  /// commit; 0 = hardware concurrency, capped at update_interval. Pure
+  /// simulation-software knob: modelled results depend only on
+  /// update_interval. Training always walks each sample through the tiles
+  /// in bursts (Tile::burst), bit-identical to either engine per sample.
+  std::size_t train_threads = 1;
 };
 
 /// Per-epoch outcome of an online-training run.
@@ -219,31 +243,35 @@ class SystemSimulator {
                 PipelineObserver* observer = nullptr);
 
   /// Batched engine: shards `inputs` into RunConfig::batch_size chunks and
-  /// streams each chunk through a pipeline, fanned out over
-  /// RunConfig::num_threads workers that each own a deep-cloned tile
-  /// pipeline and a thread-local EnergyLedger. Per-batch results are merged
-  /// in batch order, so predictions, cycle counts and ledger energies are
-  /// bit-for-bit identical for every thread count (tested in
-  /// tests/test_parallel.cpp). No observer support: per-cycle tracing of a
-  /// sharded run has no single well-defined cycle order.
+  /// streams each chunk through a pipeline, one chunk per util::parallel_for
+  /// work item over RunConfig::num_threads workers. A lone worker streams
+  /// on the canonical tiles; with more, each worker owns a deep-cloned
+  /// pipeline. Each batch fills its own result slot (predictions, cycles,
+  /// ledger), merged in batch order, so results are bit-for-bit identical
+  /// for every thread count (tests/test_parallel.cpp). No observer support:
+  /// per-cycle tracing of a sharded run has no single well-defined cycle
+  /// order.
   RunResult run_batched(const std::vector<BitVec>& inputs,
                         const std::vector<std::uint8_t>* labels = nullptr,
                         const RunConfig& run_cfg = {});
 
   /// Online-training engine: per epoch, cuts the sample stream into
   /// k-sample windows (OnlineTrainConfig::update_interval), runs each
-  /// window's forward passes against the window-start weights -- sharded
-  /// over OnlineTrainConfig::train worker threads with per-worker tile
-  /// clones -- lets the per-tile learning rules stage their observations in
-  /// sample order, and commits the staged column updates once per window
-  /// (deterministic tile/column order; repeated events on one column
-  /// coalesce into a single read-modify-write). Then evaluates the adapted
-  /// weights with the deterministic batched engine. The training forward
-  /// passes are metered (tile energies into a training ledger, clock +
-  /// leakage integrated over the windowed pipeline cycles); the commit cost
-  /// is accounted once, under EnergyCategory::kLearning. update_interval 1
-  /// is bit-identical to the serial immediate-update reference, and every
-  /// k is bit-identical across thread counts and engines
+  /// window's forward passes against the window-start weights -- one
+  /// sample per util::parallel_for work item over
+  /// OnlineTrainConfig::train_threads workers with per-worker tile clones
+  /// -- then retires the window in sample order: the cycles come from a
+  /// PipelineSchedule whose first latch is cycle 0, and the per-tile
+  /// learning rules stage their observations. It commits the staged column
+  /// updates once per window (deterministic tile/column order; repeated
+  /// events on one column coalesce into a single read-modify-write), then
+  /// evaluates the adapted weights with the deterministic batched engine.
+  /// The training forward passes are metered (tile energies into a
+  /// training ledger, clock + leakage integrated over the windowed
+  /// pipeline cycles); the commit cost is accounted once, under
+  /// EnergyCategory::kLearning. update_interval 1 is bit-identical to the
+  /// serial immediate-update reference, and every k is bit-identical
+  /// across thread counts and engines
   /// (tests/test_online_trainer.cpp, tests/test_delayed_updates.cpp).
   /// This overload trains and evaluates on the same stream (the rolling
   /// field scenario).
@@ -289,7 +317,8 @@ class SystemSimulator {
 
   /// Software-pipelined equivalent (ExecutionEngine::kPipelined): runs each
   /// tile over each sample in a burst and reconstructs the lockstep cycle
-  /// schedule from the per-(tile, sample) busy-cycle counts. A tile posts
+  /// schedule from the per-(tile, sample) busy-cycle counts through a
+  /// PipelineSchedule whose first latch is cycle 1. A tile posts
   /// energy only while busy and processes samples in order with identical
   /// per-sample dynamics in both engines, so the per-stage ledger streams
   /// -- and therefore the merged ledger -- match stream_batch exactly.

@@ -110,6 +110,14 @@ class Tile {
   /// Clears the output-ready latch after readout (output-layer tiles).
   void consume_output();
 
+  /// One inference in a burst: start_inference(input), then step until the
+  /// tile fires. Returns the busy cycles; throws std::logic_error if the
+  /// tile has not drained after 2^20 steps (a hang detector).
+  std::uint64_t burst(const BitVec& input);
+  /// Output-layer readout: index of the first maximum of output_scores()
+  /// (same floats and tie-break as std::max_element), without allocating.
+  [[nodiscard]] std::size_t winner() const;
+
   /// Resets every neuron's membrane and request (new sample in carried-
   /// membrane / rate-coded operation).
   void reset_membranes();

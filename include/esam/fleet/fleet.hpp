@@ -25,8 +25,8 @@ struct FleetConfig {
   /// Simulated dies.
   std::size_t devices = 16;
   /// Host worker threads building and running devices (0 = hardware
-  /// concurrency). Pure simulation-software knob: the report is
-  /// bit-identical for every value.
+  /// concurrency; capped at the die count and util::kMaxWorkers). Pure
+  /// simulation-software knob: the report is bit-identical for every value.
   std::size_t workers = 1;
   /// Test samples per device shard (0 = every die runs the full stream).
   /// Device i starts at offset (i * shard) mod stream size and wraps, so

@@ -61,18 +61,13 @@ class OnlineLearner {
  public:
   OnlineLearner(arch::Tile& tile, StdpConfig cfg);
 
-  /// Applies one causal (reward) STDP update to post-neuron `j`, given the
-  /// tile-wide pre-synaptic spike vector of the triggering inference.
-  void reward(std::size_t j, const util::BitVec& pre_spikes);
-
-  /// Applies one anti-causal (punish) update.
-  void punish(std::size_t j, const util::BitVec& pre_spikes);
-
-  /// Applies a batch of staged events to column `j` through one read-modify-
-  /// write per row-group: read once, fold every event's stochastic mask over
-  /// the in-flight value in staged order, write once. With a single event
-  /// this is bit-identical (weights, Bernoulli stream, stats, energy) to
-  /// reward()/punish(). Every event must target column `j`.
+  /// The learner's one update entry point: applies a batch of staged events
+  /// (each a causal reward or an anti-causal punish, given the tile-wide
+  /// pre-synaptic spikes of its triggering inference) to post-neuron
+  /// column `j` through one read-modify-write per row-group -- read once,
+  /// fold every event's stochastic mask over the in-flight value in staged
+  /// order, write once. A single event is the serial immediate update.
+  /// Every event must target column `j`.
   void apply_column(std::size_t j,
                     std::span<const PendingUpdate* const> events);
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "esam/nn/matrix.hpp"
+#include "esam/util/log.hpp"
 #include "esam/util/rng.hpp"
 
 namespace esam::nn {
@@ -99,13 +100,9 @@ struct TrainConfig {
   std::uint64_t seed = 42;
   /// Progress callback interval in batches (0 = silent).
   std::size_t log_every = 0;
-  /// Sink for progress lines when log_every != 0. Defaults to stderr --
-  /// the library never writes to stdout (esam_lint rule no-stdout), so a
-  /// CLI embedding the trainer keeps a clean report stream. A plain
-  /// pointer + context (not std::function) keeps the config trivially
-  /// copyable and clear of GCC 12's std::function-in-aggregate
-  /// -Wmaybe-uninitialized false positive under -Werror.
-  void (*log_sink)(const std::string& line, void* ctx) = nullptr;
+  /// Sink for progress lines when log_every != 0 (util::emit_log; nullptr
+  /// routes to stderr).
+  util::LogFn log_sink = nullptr;
   void* log_ctx = nullptr;
 };
 

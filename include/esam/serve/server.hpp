@@ -49,6 +49,7 @@
 #include "esam/arch/system.hpp"
 #include "esam/io/checkpoint.hpp"
 #include "esam/learning/online_trainer.hpp"
+#include "esam/util/log.hpp"
 #include "esam/util/sync.hpp"
 #include "esam/util/thread_annotations.hpp"
 
@@ -77,10 +78,9 @@ struct ServerConfig {
   /// Learning configuration of the adaptation engine's mutable model copy.
   learning::TrainerConfig trainer{};
   /// Receives one-line operational log messages (the startup banner with
-  /// the worker count and active SIMD kernel backend). nullptr routes to
-  /// stderr -- same plain pointer + context idiom as nn::TrainConfig's
-  /// log_sink, keeping the config trivially copyable.
-  void (*log_sink)(const std::string& line, void* ctx) = nullptr;
+  /// the worker count and active SIMD kernel backend) through
+  /// util::emit_log; nullptr routes to stderr.
+  util::LogFn log_sink = nullptr;
   void* log_ctx = nullptr;
 };
 
@@ -198,8 +198,6 @@ class InferenceServer {
     void record(double wait_us);
   };
 
-  /// Routes an operational log line to cfg_.log_sink (stderr by default).
-  void log_line(const std::string& line) const;
   void worker_loop()
       ESAM_EXCLUDES(queue_mutex_, model_mutex_, adapt_mutex_, stats_mutex_);
   void adapt_loop()

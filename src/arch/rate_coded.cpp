@@ -51,11 +51,7 @@ std::uint64_t RateCodedRunner::run_timestep(const BitVec& spikes) {
   BitVec current = spikes;
   for (std::size_t l = 0; l < tiles_.size(); ++l) {
     Tile& tile = tiles_[l];
-    tile.start_inference(current);
-    while (tile.busy()) {
-      tile.step();
-      ++cycles;
-    }
+    cycles += tile.burst(current);
     if (l + 1 < tiles_.size()) {
       current = tile.take_output();
     } else {

@@ -1,10 +1,9 @@
 #include "esam/arch/system.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <stdexcept>
-#include <thread>
+
+#include "esam/util/parallel.hpp"
 
 namespace esam::arch {
 namespace {
@@ -16,12 +15,22 @@ constexpr double kClockCapPerFlopFf = 0.85;
 /// Area overhead for clock distribution + inter-tile fabric.
 constexpr double kSystemAreaOverhead = 0.05;
 
-/// Sanity bound on any worker-pool size: deliberate oversubscription is
-/// allowed (it cannot change results), but a garbage request like
-/// (size_t)-1 must not exhaust OS threads.
-constexpr std::size_t kMaxThreads = 256;
-
 }  // namespace
+
+std::uint64_t PipelineSchedule::push(std::span<const std::uint64_t> busy) {
+  if (busy.empty() || busy.size() != freed_.size()) {
+    throw std::invalid_argument("PipelineSchedule: one busy count per tile");
+  }
+  const std::size_t last = freed_.size() - 1;
+  std::uint64_t latch = next_latch_;
+  for (std::size_t t = 0; t <= last; ++t) {
+    const std::uint64_t fire = latch + busy[t];
+    freed_[t] = t == last ? fire : std::max(fire, freed_[t + 1]);
+    latch = freed_[t];
+  }
+  next_latch_ = freed_[0];
+  return freed_[last];
+}
 
 SystemSimulator::SystemSimulator(const TechnologyParams& tech,
                                  const nn::SnnNetwork& snn, SystemConfig cfg)
@@ -164,9 +173,7 @@ void SystemSimulator::stream_batch(std::vector<Tile>& tiles,
     for (std::size_t l = tiles.size(); l-- > 0;) {
       if (!tiles[l].output_ready()) continue;
       if (l == last) {
-        const std::vector<float> scores = tiles[l].output_scores();
-        predictions.push_back(static_cast<std::size_t>(
-            std::max_element(scores.begin(), scores.end()) - scores.begin()));
+        predictions.push_back(tiles[l].winner());
         tiles[l].consume_output();
         ++completed;
       } else if (!tiles[l + 1].busy() && !tiles[l + 1].output_ready()) {
@@ -193,55 +200,24 @@ void SystemSimulator::stream_batch_pipelined(
     tiles[i].attach_ledger(&stage_ledgers[i]);
   }
 
-  const std::size_t n = inputs.size();
-  const std::size_t last = tiles.size() - 1;
-  // Same hang-detector spirit as the lockstep engine, per inference here.
-  constexpr std::uint64_t kStepLimit = std::uint64_t{1} << 20;
-
-  // Schedule reconstruction. A tile's busy-cycle count per sample is
-  // schedule-independent (while stalled waiting for the downstream tile it
-  // holds its output and does nothing), so the lockstep schedule follows
-  // from the burst durations alone:
-  //   latch[0](s)   = s == 0 ? cycle 1 : freed[0](s-1)  (tile 0 re-latches
-  //                   the cycle its previous output was taken);
-  //   fire[t](s)    = latch[t](s) + busy_cycles;
-  //   freed[t](s)   = t == last ? fire (retired immediately, in order)
-  //                   : max(fire[t](s), freed[t+1](s-1))  (the downstream-
-  //                   first handoff scan allows a same-cycle chain);
-  //   latch[t+1](s) = freed[t](s).
-  // The batch ends when the last tile retires the last sample.
-  std::vector<std::uint64_t> freed(tiles.size(), 0);
+  // Tile 0 latches the first sample in cycle 1, as in the lockstep sweep;
+  // the batch ends when the last tile retires the last sample.
+  PipelineSchedule schedule(tiles.size(), 1);
+  std::vector<std::uint64_t> busy(tiles.size());
   std::uint64_t batch_cycles = 0;
   BitVec handoff;
-
-  for (std::size_t s = 0; s < n; ++s) {
-    std::uint64_t latch = s == 0 ? 1 : freed[0];
-    const BitVec* spikes = &inputs[s];
+  for (const BitVec& input : inputs) {
+    const BitVec* spikes = &input;
     for (std::size_t t = 0; t < tiles.size(); ++t) {
-      Tile& tile = tiles[t];
-      tile.start_inference(*spikes);
-      std::uint64_t busy_cycles = 0;
-      while (tile.busy()) {
-        tile.step();
-        if (++busy_cycles > kStepLimit) {
-          throw std::logic_error("SystemSimulator: pipeline deadlock");
-        }
-      }
-      const std::uint64_t fire = latch + busy_cycles;
-      if (t == last) {
-        const std::vector<float> scores = tile.output_scores();
-        predictions.push_back(static_cast<std::size_t>(
-            std::max_element(scores.begin(), scores.end()) - scores.begin()));
-        tile.consume_output();
-        freed[t] = fire;
-        batch_cycles = fire;
-      } else {
-        handoff = tile.take_output();
+      busy[t] = tiles[t].burst(*spikes);
+      if (t + 1 < tiles.size()) {
+        handoff = tiles[t].take_output();
         spikes = &handoff;
-        freed[t] = std::max(fire, freed[t + 1]);
-        latch = freed[t];
       }
     }
+    predictions.push_back(tiles.back().winner());
+    tiles.back().consume_output();
+    batch_cycles = schedule.push(busy);
   }
 
   for (auto& t : tiles) t.attach_ledger(nullptr);
@@ -315,11 +291,8 @@ RunResult SystemSimulator::run_batched(const std::vector<BitVec>& inputs,
   const std::size_t batch_size =
       run_cfg.batch_size != 0 ? std::min(run_cfg.batch_size, n) : n;
   const std::size_t num_batches = (n + batch_size - 1) / batch_size;
-  std::size_t threads = run_cfg.num_threads != 0
-                            ? run_cfg.num_threads
-                            : std::max<std::size_t>(
-                                  1, std::thread::hardware_concurrency());
-  threads = std::min({threads, num_batches, kMaxThreads});
+  const std::size_t threads =
+      util::resolve_workers(run_cfg.num_threads, num_batches);
 
   // Every batch is an independent, deterministic unit of work: stream its
   // slice through a pipeline, record predictions / cycles / a private
@@ -331,9 +304,15 @@ RunResult SystemSimulator::run_batched(const std::vector<BitVec>& inputs,
     EnergyLedger ledger;
   };
   std::vector<BatchOutcome> outcomes(num_batches);
+  // A lone worker streams on the canonical tiles. With more, every worker
+  // deep-clones them on its first batch (the clones only read tiles_) and
+  // reuses its clone across its batches.
+  std::vector<std::vector<Tile>> clones(threads > 1 ? threads : 0);
 
   const std::span<const BitVec> all(inputs);
-  auto run_one_batch = [&](std::vector<Tile>& tiles, std::size_t b) {
+  util::parallel_for(num_batches, threads, [&](std::size_t w, std::size_t b) {
+    if (!clones.empty() && clones[w].empty()) clones[w] = tiles_;
+    std::vector<Tile>& tiles = clones.empty() ? tiles_ : clones[w];
     const std::size_t first = b * batch_size;
     const std::size_t count = std::min(batch_size, n - first);
     outcomes[b].predictions.reserve(count);
@@ -346,36 +325,7 @@ RunResult SystemSimulator::run_batched(const std::vector<BitVec>& inputs,
                    outcomes[b].predictions, outcomes[b].cycles,
                    outcomes[b].ledger);
     }
-  };
-
-  if (threads <= 1) {
-    for (std::size_t b = 0; b < num_batches; ++b) run_one_batch(tiles_, b);
-  } else {
-    std::atomic<std::size_t> next_batch{0};
-    std::vector<std::exception_ptr> worker_errors(threads);
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w) {
-      pool.emplace_back([&, w] {
-        try {
-          // One deep-cloned pipeline per worker, reused across its batches.
-          std::vector<Tile> local_tiles(tiles_);
-          while (true) {
-            const std::size_t b =
-                next_batch.fetch_add(1, std::memory_order_relaxed);
-            if (b >= num_batches) break;
-            run_one_batch(local_tiles, b);
-          }
-        } catch (...) {
-          worker_errors[w] = std::current_exception();
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
-    for (const auto& err : worker_errors) {
-      if (err) std::rethrow_exception(err);
-    }
-  }
+  });
 
   RunResult result;
   result.predictions.reserve(n);
@@ -449,11 +399,7 @@ OnlineRunResult SystemSimulator::run_online(
   const std::size_t n = inputs.size();
   const std::size_t k = cfg.update_interval;
   const std::size_t last = tiles_.size() - 1;
-  std::size_t max_workers =
-      cfg.train.num_threads != 0
-          ? cfg.train.num_threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  max_workers = std::min({max_workers, k, kMaxThreads});
+  const std::size_t max_workers = util::resolve_workers(cfg.train_threads, k);
 
   // Which tiles have a rule staging into them (the output teacher always
   // does; hidden tiles only under a hidden rule).
@@ -484,7 +430,6 @@ OnlineRunResult SystemSimulator::run_online(
   // engine's per-sample walk), recording busy cycles, stage ledgers and the
   // rule observations. Weights are frozen within a window, so this is
   // independent per sample -- workers run it concurrently on their clones.
-  constexpr std::uint64_t kStepLimit = std::uint64_t{1} << 20;
   auto forward_one = [&](std::vector<Tile>& tiles, const BitVec& input,
                          SampleRecord& rec) {
     const BitVec* spikes = &input;
@@ -493,21 +438,10 @@ OnlineRunResult SystemSimulator::run_online(
       rec.ledgers[t].reset();
       tile.attach_ledger(&rec.ledgers[t]);
       if (plastic[t] != 0) rec.pre[t] = *spikes;
-      tile.start_inference(*spikes);
-      std::uint64_t busy_cycles = 0;
-      while (tile.busy()) {
-        tile.step();
-        if (++busy_cycles > kStepLimit) {
-          tile.attach_ledger(nullptr);
-          throw std::logic_error("SystemSimulator: training deadlock");
-        }
-      }
-      rec.busy[t] = busy_cycles;
+      rec.busy[t] = tile.burst(*spikes);
       tile.attach_ledger(nullptr);
       if (t == last) {
-        const std::vector<float> scores = tile.output_scores();
-        rec.winner = static_cast<std::size_t>(
-            std::max_element(scores.begin(), scores.end()) - scores.begin());
+        rec.winner = tile.winner();
         tile.consume_output();
       } else {
         if (plastic[t] != 0) {
@@ -524,7 +458,6 @@ OnlineRunResult SystemSimulator::run_online(
   // column-wise after every commit.
   std::vector<std::vector<Tile>> clone_pipelines;
   std::vector<std::vector<std::size_t>> updated_cols;
-  std::vector<std::uint64_t> freed(tiles_.size(), 0);
   std::vector<Time> cg_drains;  // per-column-group commit-queue scratch
 
   for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
@@ -536,71 +469,31 @@ OnlineRunResult SystemSimulator::run_online(
 
     for (std::size_t w0 = 0; w0 < n; w0 += k) {
       const std::size_t wn = std::min(k, n - w0);
-      const std::size_t workers = std::min(max_workers, wn);
 
-      // Phase 1: the window's forward passes, sharded contiguously.
-      if (workers <= 1) {
-        for (std::size_t s = 0; s < wn; ++s) {
-          forward_one(tiles_, inputs[w0 + s], recs[s]);
-        }
-      } else {
-        while (clone_pipelines.size() < workers - 1) {
-          clone_pipelines.emplace_back(tiles_);
-        }
-        const std::size_t chunk = (wn + workers - 1) / workers;
-        std::vector<std::exception_ptr> errors(workers);
-        std::vector<std::thread> pool;
-        pool.reserve(workers - 1);
-        for (std::size_t w = 1; w < workers; ++w) {
-          pool.emplace_back([&, w] {
-            try {
-              std::vector<Tile>& wt = clone_pipelines[w - 1];
-              const std::size_t s1 = std::min(wn, (w + 1) * chunk);
-              for (std::size_t s = w * chunk; s < s1; ++s) {
-                forward_one(wt, inputs[w0 + s], recs[s]);
-              }
-            } catch (...) {
-              errors[w] = std::current_exception();
-            }
-          });
-        }
-        try {
-          const std::size_t s1 = std::min(wn, chunk);
-          for (std::size_t s = 0; s < s1; ++s) {
-            forward_one(tiles_, inputs[w0 + s], recs[s]);
-          }
-        } catch (...) {
-          errors[0] = std::current_exception();
-        }
-        for (std::thread& th : pool) th.join();
-        for (const auto& err : errors) {
-          if (err) std::rethrow_exception(err);
-        }
+      // Phase 1: the window's forward passes, one sample per work item.
+      // The clones are built here, on the calling thread, so no worker
+      // copies tiles_ while worker 0 streams through it.
+      const std::size_t workers = std::min(max_workers, wn);
+      while (clone_pipelines.size() + 1 < workers) {
+        clone_pipelines.emplace_back(tiles_);
       }
+      util::parallel_for(wn, workers, [&](std::size_t w, std::size_t s) {
+        forward_one(w == 0 ? tiles_ : clone_pipelines[w - 1], inputs[w0 + s],
+                    recs[s]);
+      });
 
       // Phase 2: retire in sample order -- accuracy, (sample, tile)-ordered
-      // ledger merge, the window's pipelined cycle schedule (the closed-form
-      // recurrence of stream_batch_pipelined, with the first latch at 0 so a
-      // one-sample window costs exactly its serial burst sum), and the rule
-      // observations staged in sample order.
-      std::fill(freed.begin(), freed.end(), 0);
+      // ledger merge, the window's pipelined cycle schedule (first latch at
+      // cycle 0, so a one-sample window costs exactly its serial burst
+      // sum), and the rule observations staged in sample order.
+      PipelineSchedule schedule(tiles_.size(), 0);
       std::uint64_t window_cycles = 0;
       for (std::size_t s = 0; s < wn; ++s) {
-        SampleRecord& rec = recs[s];
+        const SampleRecord& rec = recs[s];
         const std::size_t i = w0 + s;
         if (rec.winner == labels[i]) ++online_hits;
-        std::uint64_t latch = s == 0 ? 0 : freed[0];
-        for (std::size_t t = 0; t < tiles_.size(); ++t) {
-          train_ledger += rec.ledgers[t];
-          const std::uint64_t fire = latch + rec.busy[t];
-          if (t == last) {
-            freed[t] = fire;
-            window_cycles = fire;
-          } else {
-            freed[t] = std::max(fire, freed[t + 1]);
-            latch = freed[t];
-          }
-        }
+        for (const EnergyLedger& stage : rec.ledgers) train_ledger += stage;
+        window_cycles = schedule.push(rec.busy);
         for (std::size_t t = 0; t + 1 < tiles_.size(); ++t) {
           if (plastic[t] != 0) {
             trainer.stage_hidden(t, rec.pre[t], rec.hidden_cols[t]);

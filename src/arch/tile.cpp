@@ -325,6 +325,33 @@ void Tile::consume_output() {
   output_ready_ = false;
 }
 
+std::uint64_t Tile::burst(const BitVec& input) {
+  constexpr std::uint64_t kStepLimit = std::uint64_t{1} << 20;
+  start_inference(input);
+  std::uint64_t cycles = 0;
+  while (busy_) {
+    step();
+    if (++cycles > kStepLimit) {
+      throw std::logic_error("Tile::burst: inference never drained");
+    }
+  }
+  return cycles;
+}
+
+std::size_t Tile::winner() const {
+  std::size_t best = 0;
+  float best_score = 0.0f;
+  for (std::size_t j = 0; j < cfg_.outputs; ++j) {
+    const float s =
+        static_cast<float>(neurons_[j].vmem()) - readout_offsets_[j];
+    if (j == 0 || best_score < s) {
+      best = j;
+      best_score = s;
+    }
+  }
+  return best;
+}
+
 void Tile::adjust_readout_offset(std::size_t neuron, float delta) {
   readout_offsets_.at(neuron) += delta;
 }

@@ -218,7 +218,7 @@ OnlineReport EsamSystem::learn_online(const OnlineOptions& opt) {
   cfg.update_interval = opt.update_interval;
   cfg.trainer = opt.trainer;
   cfg.eval = opt.run;
-  cfg.train = opt.run;  // training windows reuse the eval worker count
+  cfg.train_threads = opt.run.num_threads;  // reuse the eval worker count
   rep.update_interval = opt.update_interval;
   const arch::OnlineRunResult r =
       sim_.run_online(train_in, train_lab, eval_in, eval_lab, cfg);

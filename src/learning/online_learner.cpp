@@ -8,18 +8,6 @@ namespace esam::learning {
 OnlineLearner::OnlineLearner(arch::Tile& tile, StdpConfig cfg)
     : tile_(&tile), rule_(cfg) {}
 
-void OnlineLearner::reward(std::size_t j, const util::BitVec& pre_spikes) {
-  const PendingUpdate e{pre_spikes, j, /*causal=*/true};
-  const PendingUpdate* ep = &e;
-  apply_column(j, std::span<const PendingUpdate* const>(&ep, 1));
-}
-
-void OnlineLearner::punish(std::size_t j, const util::BitVec& pre_spikes) {
-  const PendingUpdate e{pre_spikes, j, /*causal=*/false};
-  const PendingUpdate* ep = &e;
-  apply_column(j, std::span<const PendingUpdate* const>(&ep, 1));
-}
-
 void OnlineLearner::apply_column(
     std::size_t j, std::span<const PendingUpdate* const> events) {
   if (events.empty()) return;

@@ -1,6 +1,5 @@
 #include "esam/learning/online_trainer.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "esam/util/rng.hpp"
@@ -49,28 +48,18 @@ void OnlineTrainer::forward(const util::BitVec& input) {
   std::vector<arch::Tile>& tiles = *tiles_;
   util::BitVec spikes = input;
   for (std::size_t l = 0; l + 1 < tiles.size(); ++l) {
-    tiles[l].start_inference(spikes);
-    while (tiles[l].busy()) {
-      tiles[l].step();
-      ++forward_cycles_;
-    }
+    forward_cycles_ += tiles[l].burst(spikes);
     spikes = tiles[l].take_output();
   }
-  arch::Tile& out = tiles.back();
-  out.start_inference(spikes);
-  while (out.busy()) {
-    out.step();
-    ++forward_cycles_;
-  }
+  forward_cycles_ += tiles.back().burst(spikes);
 }
 
 std::size_t OnlineTrainer::classify(const util::BitVec& input) {
   forward(input);
   arch::Tile& out = tiles_->back();
-  const std::vector<float> scores = out.output_scores();
+  const std::size_t winner = out.winner();
   out.consume_output();
-  return static_cast<std::size_t>(
-      std::max_element(scores.begin(), scores.end()) - scores.begin());
+  return winner;
 }
 
 std::size_t OnlineTrainer::train_sample(const util::BitVec& input,

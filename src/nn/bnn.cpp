@@ -1,12 +1,13 @@
 #include "esam/nn/bnn.hpp"
 
 #include "esam/util/crc32.hpp"
+#include "esam/util/log.hpp"
+#include "esam/util/table.hpp"
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -25,30 +26,6 @@ Matrix binarize(const Matrix& latent) {
     dst[i] = src[i] >= 0.0f ? 1.0f : -1.0f;
   }
   return wb;
-}
-
-/// Routes a progress line to the configured sink (stderr by default; the
-/// library keeps stdout clean for whoever embeds it).
-void emit_progress(const TrainConfig& cfg, const std::string& line) {
-  if (cfg.log_sink != nullptr) {
-    cfg.log_sink(line, cfg.log_ctx);
-  } else {
-    std::fprintf(stderr, "%s\n", line.c_str());
-  }
-}
-
-__attribute__((format(printf, 1, 2)))
-std::string format_line(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  va_list copy;
-  va_copy(copy, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, copy);
-  va_end(copy);
-  std::string s(n > 0 ? static_cast<std::size_t>(n) : 0, '\0');
-  if (n > 0) std::vsnprintf(s.data(), s.size() + 1, fmt, args);
-  va_end(args);
-  return s;
 }
 
 }  // namespace
@@ -388,11 +365,11 @@ double BnnTrainer::train_epoch(const std::vector<std::vector<float>>& xs,
     train_batch(xs, ys, idx, begin, end, loss_sum);
     ++batches;
     if (cfg_.log_every != 0 && batches % cfg_.log_every == 0) {
-      emit_progress(cfg_,
-                    format_line("  batch %zu/%zu  mean loss %.4f", batches,
-                                (idx.size() + cfg_.batch_size - 1) /
-                                    cfg_.batch_size,
-                                loss_sum / static_cast<double>(end)));
+      util::emit_log(
+          cfg_.log_sink, cfg_.log_ctx,
+          util::fmt("  batch %zu/%zu  mean loss %.4f", batches,
+                    (idx.size() + cfg_.batch_size - 1) / cfg_.batch_size,
+                    loss_sum / static_cast<double>(end)));
     }
   }
   return loss_sum / static_cast<double>(xs.size());
@@ -404,8 +381,9 @@ double BnnTrainer::fit(const std::vector<std::vector<float>>& xs,
   for (std::size_t e = 0; e < cfg_.epochs; ++e) {
     loss = train_epoch(xs, ys);
     if (cfg_.log_every != 0) {
-      emit_progress(cfg_, format_line("epoch %zu/%zu  loss %.4f", e + 1,
-                                      cfg_.epochs, loss));
+      util::emit_log(cfg_.log_sink, cfg_.log_ctx,
+                     util::fmt("epoch %zu/%zu  loss %.4f", e + 1,
+                               cfg_.epochs, loss));
     }
   }
   return loss;

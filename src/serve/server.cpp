@@ -1,7 +1,6 @@
 #include "esam/serve/server.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -89,18 +88,13 @@ void InferenceServer::start() {
   // Startup banner: which kernel backend the worker pipelines run on is a
   // deployment-level fact operators need in the logs (ESAM_SIMD overrides
   // and scalar fallbacks would otherwise be invisible).
-  log_line(util::fmt(
-      "esam serve: %zu worker pipeline(s), SIMD backend %s, max batch %zu%s",
-      cfg_.num_workers, util::simd::active_backend_name(), cfg_.max_batch,
-      cfg_.adapt ? ", background adaptation on" : ""));
-}
-
-void InferenceServer::log_line(const std::string& line) const {
-  if (cfg_.log_sink != nullptr) {
-    cfg_.log_sink(line, cfg_.log_ctx);
-  } else {
-    std::fprintf(stderr, "%s\n", line.c_str());
-  }
+  util::emit_log(
+      cfg_.log_sink, cfg_.log_ctx,
+      util::fmt("esam serve: %zu worker pipeline(s), SIMD backend %s, max "
+                "batch %zu%s",
+                cfg_.num_workers, util::simd::active_backend_name(),
+                cfg_.max_batch,
+                cfg_.adapt ? ", background adaptation on" : ""));
 }
 
 void InferenceServer::stop() {
@@ -272,7 +266,8 @@ void InferenceServer::serve_batch(arch::SystemSimulator& sim,
   inputs.reserve(batch.size());
   for (const Request& r : batch) inputs.push_back(r.input);
   const auto dispatched = Clock::now();
-  const arch::RunResult run = sim.run(inputs);
+  const arch::RunResult run =
+      sim.run_batched(inputs, nullptr, {.num_threads = 1, .batch_size = 0});
 
   // Labeled requests feed the background adaptation engine.
   if (cfg_.adapt) {

@@ -32,6 +32,11 @@
 //                                ESAM_PT_GUARDED_BY user in the same file,
 //                                so the clang -Wthread-safety lane actually
 //                                checks something for that lock.
+//   no-raw-thread      library   std::thread / std::jthread only in
+//                                src/util/parallel.cpp (the one executor,
+//                                util::parallel_for) and the inference
+//                                server's long-lived worker and adaptation
+//                                threads (src/serve/server.{hpp,cpp}).
 //
 // "library" means src/ (minus src/tools/) and include/; "all" adds
 // src/tools/, bench/ and examples/ (both scanned at tool scope -- they may
@@ -171,6 +176,12 @@ bool line_allows(const std::string& raw_line, const std::string& rule) {
   return raw_line.find(tag) != std::string::npos;
 }
 
+/// True when `path` ends with `suffix`.
+bool path_ends_with(const std::string& path, const std::string& suffix) {
+  return path.size() >= suffix.size() &&
+         path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
 using RuleFn = void (*)(const SourceFile&, std::vector<Finding>&);
 
 void check_line_rule(const SourceFile& f, std::vector<Finding>& out,
@@ -237,12 +248,7 @@ void rule_no_stdout(const SourceFile& f, std::vector<Finding>& out) {
 void rule_no_atoi(const SourceFile& f, std::vector<Finding>& out) {
   // util/parse.hpp is the one sanctioned numeric-parsing site: its strict
   // from_chars/strtod wrappers are exactly what this rule points people at.
-  const std::string exempt = "util/parse.hpp";
-  if (f.display_path.size() >= exempt.size() &&
-      f.display_path.compare(f.display_path.size() - exempt.size(),
-                             exempt.size(), exempt) == 0) {
-    return;
-  }
+  if (path_ends_with(f.display_path, "util/parse.hpp")) return;
   check_line_rule(
       f, out, "no-atoi", /*library_only=*/false,
       [](const std::string& s) {
@@ -301,6 +307,19 @@ void rule_mutex_needs_guard(const SourceFile& f, std::vector<Finding>& out) {
   }
 }
 
+void rule_no_raw_thread(const SourceFile& f, std::vector<Finding>& out) {
+  for (const char* owner : {"src/util/parallel.cpp", "src/serve/server.cpp",
+                            "include/esam/serve/server.hpp"}) {
+    if (path_ends_with(f.display_path, owner)) return;
+  }
+  check_line_rule(
+      f, out, "no-raw-thread", /*library_only=*/true,
+      [](const std::string& s) {
+        return has_word(s, "std::thread") || has_word(s, "std::jthread");
+      },
+      "hand-rolled thread fan-out; use util::parallel_for");
+}
+
 constexpr RuleFn kRules[] = {
     rule_no_rand,
     rule_no_wall_clock,
@@ -309,6 +328,7 @@ constexpr RuleFn kRules[] = {
     rule_no_atoi,
     rule_no_naked_new,
     rule_mutex_needs_guard,
+    rule_no_raw_thread,
 };
 
 SourceFile load_file(const fs::path& path, Scope scope,

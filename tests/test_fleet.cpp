@@ -83,10 +83,14 @@ TEST(Fleet, OversubscribedWorkersClampToDeviceCount) {
   const Fixture fx;
   FleetConfig fc = small_config();
   fc.devices = 2;
-  fc.workers = 16;  // more workers than devices must not deadlock or skew
-  const FleetSimulator sim(fx.snn, fx.test, tech::imec3nm(), fc);
-  const FleetReport r = sim.run();
-  EXPECT_EQ(r.per_device.size(), 2u);
+  // More workers than devices must not deadlock or skew, and a garbage
+  // request must not try to start SIZE_MAX threads.
+  for (const std::size_t workers : {std::size_t{16}, SIZE_MAX}) {
+    fc.workers = workers;
+    const FleetSimulator sim(fx.snn, fx.test, tech::imec3nm(), fc);
+    const FleetReport r = sim.run();
+    EXPECT_EQ(r.per_device.size(), 2u);
+  }
 }
 
 TEST(Fleet, SeedsDecorrelatedAcrossDevicesAndStreams) {

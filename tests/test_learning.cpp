@@ -6,6 +6,7 @@
 #include "esam/learning/stdp.hpp"
 #include "esam/tech/technology.hpp"
 #include "esam/util/rng.hpp"
+#include "learner_events.hpp"
 
 namespace esam::learning {
 namespace {
@@ -96,7 +97,7 @@ TEST(OnlineLearner, RewardPotentiatesTargetColumn) {
   BitVec pre(128);
   pre.set(3);
   pre.set(77);
-  learner.reward(5, pre);
+  testutil::reward(learner, 5, pre);
   EXPECT_TRUE(tile.macro(0, 0).peek(3, 5));
   EXPECT_TRUE(tile.macro(0, 0).peek(77, 5));
   // Other synapses untouched.
@@ -122,7 +123,7 @@ TEST(OnlineLearner, OffsetTracksFaultMaskedWritesNotIntendedOnes) {
   BitVec pre(128);
   pre.set(3);
   pre.set(77);
-  learner.reward(5, pre);
+  testutil::reward(learner, 5, pre);
   EXPECT_FALSE(tile.macro(0, 0).peek(3, 5));  // write silently lost
   EXPECT_TRUE(tile.macro(0, 0).peek(77, 5));
   EXPECT_FLOAT_EQ(tile.readout_offset(5), 1.0f);
@@ -136,7 +137,7 @@ TEST(OnlineLearner, PunishClearsSpikingSynapses) {
   OnlineLearner learner(tile, {.p_potentiation = 1.0, .p_depression = 0.0});
   BitVec pre(128);
   pre.set(10);
-  learner.punish(2, pre);
+  testutil::punish(learner, 2, pre);
   EXPECT_FALSE(tile.macro(0, 0).peek(10, 2));
   EXPECT_TRUE(tile.macro(0, 0).peek(11, 2));
 }
@@ -148,7 +149,7 @@ TEST(OnlineLearner, SpansRowGroups) {
   BitVec pre(256);
   pre.set(5);     // row-group 0
   pre.set(200);   // row-group 1
-  learner.reward(7, pre);
+  testutil::reward(learner, 7, pre);
   EXPECT_TRUE(tile.macro(0, 0).peek(5, 7));
   EXPECT_TRUE(tile.macro(1, 0).peek(200 - 128, 7));
 }
@@ -159,7 +160,8 @@ TEST(OnlineLearner, ColumnAddressingAcrossColGroups) {
   OnlineLearner learner(tile, {.p_potentiation = 1.0, .p_depression = 0.0});
   BitVec pre(128);
   pre.set(0);
-  learner.reward(200, pre);  // lives in col-group 1, local column 72
+  // Column 200 lives in col-group 1, local column 72.
+  testutil::reward(learner, 200, pre);
   EXPECT_TRUE(tile.macro(0, 1).peek(0, 72));
   EXPECT_FALSE(tile.macro(0, 0).peek(0, 72));
 }
@@ -168,8 +170,10 @@ TEST(OnlineLearner, InputValidation) {
   arch::Tile tile = make_tile(sram::CellKind::k1RW4R);
   tile.load_layer(zero_layer(128, 16));
   OnlineLearner learner(tile, {});
-  EXPECT_THROW(learner.reward(16, BitVec(128)), std::out_of_range);
-  EXPECT_THROW(learner.reward(0, BitVec(127)), std::invalid_argument);
+  EXPECT_THROW(testutil::reward(learner, 16, BitVec(128)),
+               std::out_of_range);
+  EXPECT_THROW(testutil::reward(learner, 0, BitVec(127)),
+               std::invalid_argument);
 }
 
 TEST(OnlineLearner, TransposableCellLearnsFasterThanBaseline) {
@@ -187,8 +191,8 @@ TEST(OnlineLearner, TransposableCellLearnsFasterThanBaseline) {
   BitVec pre(128);
   for (std::size_t i = 0; i < 128; i += 3) pre.set(i);
   for (std::size_t j = 0; j < 8; ++j) {
-    fast.reward(j, pre);
-    slow.reward(j, pre);
+    testutil::reward(fast, j, pre);
+    testutil::reward(slow, j, pre);
   }
   const double speedup = util::in_nanoseconds(slow.stats().time) /
                          util::in_nanoseconds(fast.stats().time);
@@ -217,7 +221,7 @@ TEST(OnlineLearner, UnalignedRowGroupSlicesUpdateCorrectly) {
   pre.set(47);  // last row of row-group 0
   pre.set(48);  // first row of row-group 1
   pre.set(95);  // last row of row-group 1
-  learner.reward(2, pre);
+  testutil::reward(learner, 2, pre);
   EXPECT_TRUE(tile.macro(0, 0).peek(47, 2));
   EXPECT_TRUE(tile.macro(1, 0).peek(0, 2));
   EXPECT_TRUE(tile.macro(1, 0).peek(47, 2));
@@ -237,7 +241,7 @@ TEST(OnlineLearner, StatsResetWorks) {
   arch::Tile tile = make_tile(sram::CellKind::k1RW4R);
   tile.load_layer(zero_layer(128, 16));
   OnlineLearner learner(tile, {});
-  learner.reward(0, BitVec(128));
+  testutil::reward(learner, 0, BitVec(128));
   EXPECT_EQ(learner.stats().column_updates, 1u);
   EXPECT_GT(learner.stats().energy.base(), 0.0);
   learner.reset_stats();

@@ -10,6 +10,7 @@
 #include "esam/sram/faults.hpp"
 #include "esam/tech/technology.hpp"
 #include "esam/util/rng.hpp"
+#include "learner_events.hpp"
 
 namespace esam::learning {
 namespace {
@@ -220,8 +221,8 @@ TEST(SupervisedTeacherRule, MatchesDirectRewardPunishSequence) {
     // Per-step commit replays the learner's interleaved draw order exactly.
     rule.commit();
     if (winner != label) {
-      learner.reward(label, pre);
-      learner.punish(winner, pre);
+      testutil::reward(learner, label, pre);
+      testutil::punish(learner, winner, pre);
     }
   }
   EXPECT_EQ(rule.stats().column_updates, learner.stats().column_updates);

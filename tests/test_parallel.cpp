@@ -4,10 +4,19 @@
 // must reject malformed input like run() does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <thread>
+
 #include "esam/arch/system.hpp"
 #include "esam/learning/online_learner.hpp"
 #include "esam/tech/technology.hpp"
+#include "esam/util/parallel.hpp"
 #include "esam/util/rng.hpp"
+#include "learner_events.hpp"
 
 namespace esam::arch {
 namespace {
@@ -190,7 +199,7 @@ TEST(Parallel, LearnedWeightsVisibleToClonedWorkerPipelines) {
   for (std::size_t j = 0; j < 6; ++j) {
     util::BitVec pre(32);
     for (std::size_t i = j; i < 32; i += j + 2) pre.set(i);
-    learner.reward(j, pre);
+    testutil::reward(learner, j, pre);
   }
 
   const RunResult stream = sim.run(inputs);
@@ -220,9 +229,129 @@ TEST(Parallel, TileDeepCopyIsIndependent) {
   sim.tile(0).attach_ledger(&ledger);
   Tile detached = sim.tile(0);
   const util::BitVec spikes = random_inputs(1, 32, 281)[0];
-  detached.start_inference(spikes);
-  while (detached.busy()) detached.step();
+  (void)detached.burst(spikes);
   EXPECT_EQ(ledger.total_energy().base(), 0.0);
+}
+
+TEST(Parallel, ResolveWorkersClampsToItemsAndCap) {
+  EXPECT_EQ(util::resolve_workers(SIZE_MAX, 1'000'000), util::kMaxWorkers);
+  EXPECT_EQ(util::kMaxWorkers, 256u);
+  EXPECT_EQ(util::resolve_workers(8, 3), 3u);
+  EXPECT_EQ(util::resolve_workers(2, 10), 2u);
+  EXPECT_EQ(util::resolve_workers(5, 0), 1u);
+  const std::size_t hw = util::resolve_workers(0, 1'000'000);
+  EXPECT_GE(hw, 1u);
+  EXPECT_LE(hw, util::kMaxWorkers);
+}
+
+TEST(Parallel, ParallelForVisitsEveryIndexOnce) {
+  constexpr std::size_t kCount = 1000;
+  for (const std::size_t workers : {1u, 3u, 8u}) {
+    std::vector<std::atomic<int>> visits(kCount);
+    std::atomic<bool> bad_worker{false};
+    util::parallel_for(kCount, workers, [&](std::size_t w, std::size_t i) {
+      if (w >= workers) bad_worker = true;
+      visits[i].fetch_add(1);
+    });
+    EXPECT_FALSE(bad_worker.load());
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(visits[i].load(), 1) << "index " << i << ", " << workers
+                                     << " workers";
+    }
+  }
+  util::parallel_for(0, 4, [](std::size_t, std::size_t) {
+    ADD_FAILURE() << "no index to visit";
+  });
+}
+
+TEST(Parallel, ParallelForOutputsIndependentOfWorkerCount) {
+  // Per-index slots, like every caller's result vectors: the schedule must
+  // not show in the output, including with more workers than indices.
+  constexpr std::size_t kCount = 37;
+  const auto run = [](std::size_t workers) {
+    std::vector<std::uint64_t> out(kCount);
+    util::parallel_for(kCount, workers, [&](std::size_t, std::size_t i) {
+      util::Rng rng(1000 + i);
+      out[i] = rng.next_u64();
+    });
+    return out;
+  };
+  const std::vector<std::uint64_t> serial = run(1);
+  for (std::size_t workers = 2; workers <= 8; ++workers) {
+    EXPECT_EQ(run(workers), serial) << workers << " workers";
+  }
+  EXPECT_EQ(run(100), serial);
+}
+
+TEST(Parallel, SpawnedWorkerExceptionRethrownAfterJoin) {
+  constexpr std::size_t kCount = 64;
+  // Plain (non-atomic) slots: reading them below is race-free only if
+  // every worker has joined before parallel_for rethrows.
+  std::vector<int> visits(kCount, 0);
+  std::atomic<bool> thrown{false};
+  try {
+    util::parallel_for(kCount, 4, [&](std::size_t w, std::size_t i) {
+      if (w == 0) {
+        // Hold the calling thread until a spawned worker has failed, so
+        // the exception provably crosses a thread boundary.
+        while (!thrown.load()) std::this_thread::yield();
+      } else if (!thrown.exchange(true)) {
+        throw std::runtime_error("index " + std::to_string(i));
+      }
+      visits[i] = 1;
+    });
+    ADD_FAILURE() << "the worker's exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("index ", 0), 0u);
+  }
+  // Only the failing index is missing: the failed worker stopped and the
+  // others drained the rest before the rethrow.
+  EXPECT_EQ(std::count(visits.begin(), visits.end(), 1),
+            static_cast<std::ptrdiff_t>(kCount - 1));
+}
+
+TEST(Parallel, PipelineScheduleHandComputedCase) {
+  // Two tiles bursting 3 and 5 cycles, first latch at cycle 1.
+  // Sample 0: tile 0 fires at 4, tile 1 latches at 4 and retires at 9.
+  // Sample 1: tile 0 latches at 4 and fires at 7, but tile 1 frees only at
+  // 9, so the handoff waits; tile 1 retires at 9 + 5 = 14.
+  PipelineSchedule schedule(2, 1);
+  const std::uint64_t busy[] = {3, 5};
+  EXPECT_EQ(schedule.push(busy), 9u);
+  EXPECT_EQ(schedule.push(busy), 14u);
+  const std::uint64_t wrong_width[] = {3};
+  EXPECT_THROW((void)schedule.push(wrong_width), std::invalid_argument);
+}
+
+TEST(Parallel, TileWinnerMatchesMaxElementOnTies) {
+  TileConfig cfg;
+  cfg.inputs = 16;
+  cfg.outputs = 4;
+  cfg.is_output_layer = true;
+  Tile tile(tech::imec3nm(), cfg);
+  nn::SnnLayer layer;
+  layer.weight_rows.assign(16, util::BitVec(4));
+  layer.thresholds.assign(4, 0);
+  // Zero weights give every column the same Vmem, so the offsets alone
+  // order the scores: columns 1 and 2 tie for the maximum.
+  layer.readout_offsets = {0.5f, -1.0f, -1.0f, 3.0f};
+  tile.load_layer(layer);
+  util::BitVec spikes(16);
+  for (std::size_t i = 0; i < 16; i += 2) spikes.set(i);
+  (void)tile.burst(spikes);
+  const std::vector<float> scores = tile.output_scores();
+  EXPECT_EQ(scores[1], scores[2]);
+  const auto first_max = static_cast<std::size_t>(
+      std::max_element(scores.begin(), scores.end()) - scores.begin());
+  EXPECT_EQ(first_max, 1u);
+  EXPECT_EQ(tile.winner(), first_max);
+
+  // All-equal scores: both pick column 0.
+  layer.readout_offsets.assign(4, 0.0f);
+  tile.consume_output();
+  tile.load_layer(layer);
+  (void)tile.burst(spikes);
+  EXPECT_EQ(tile.winner(), 0u);
 }
 
 }  // namespace
