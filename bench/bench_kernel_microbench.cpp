@@ -1,13 +1,15 @@
 // K1: microbenchmarks of the simulator kernels -- SIMD bit-kernels, arbiter
-// grant loops, SRAM row reads and the two batch execution engines. These
-// measure the *reproduction's* software performance (how fast the simulator
-// itself runs), not the modelled hardware.
+// grant loops, SRAM row reads, the BNN front end's packed forward and the
+// two batch execution engines. These measure the *reproduction's* software
+// performance (how fast the simulator itself runs), not the modelled
+// hardware.
 //
 // Self-contained steady_clock harness (no external benchmark framework), so
 // the binary always builds and can feed the benchmark-regression gate.
 // Absolute ns/op numbers are host-dependent and reported as information
-// only; the within-run speedup *ratios* (SIMD backend vs scalar, pipelined
-// engine vs sequential) are what scripts/check_bench.py gates, since they
+// only; the within-run speedup *ratios* (SIMD backend vs scalar, packed BNN
+// forward vs the float oracle, pipelined engine vs sequential) are what
+// scripts/check_bench.py gates, since they
 // are comparable across hosts.
 //
 // Usage: bench_kernel_microbench [--smoke] [--json PATH]
@@ -18,6 +20,7 @@
 
 #include "bench_common.hpp"
 #include "esam/arch/system.hpp"
+#include "esam/nn/bnn.hpp"
 #include "esam/tech/technology.hpp"
 #include "esam/util/rng.hpp"
 #include "esam/util/simd.hpp"
@@ -181,6 +184,47 @@ int main(int argc, char** argv) {
     host_ns.push_back({"sram_row_read_into", read_ns});
     std::printf("%-28s %12.2f\n", "arbiter_drain_128_p4", drain_ns);
     std::printf("%-28s %12.2f\n", "sram_row_read_into", read_ns);
+  }
+
+  // --- BNN front end: packed XNOR-popcount forward vs the float oracle -------
+  {
+    // One 768 -> 256 layer. The float side is the forward the packed one
+    // replaced, minus its per-call re-binarization: sign(latent) is
+    // materialized once, then Matrix::multiply plus the bias add. The packed
+    // side includes validating and packing the input.
+    util::Rng rng(21);
+    const nn::BnnNetwork bnn({768, 256}, rng);
+    const nn::BnnLayer& layer = bnn.layers()[0];
+    nn::Matrix wb(layer.out_features(), layer.in_features());
+    for (std::size_t i = 0; i < wb.size(); ++i) {
+      wb.flat()[i] = layer.latent.flat()[i] >= 0.0f ? 1.0f : -1.0f;
+    }
+    const nn::PackedLayer packed(layer);
+    std::vector<float> x(768);
+    for (auto& v : x) v = rng.bernoulli(0.5) ? 1.0f : -1.0f;
+
+    const double float_ns = ns_per_op(
+        [&] {
+          std::vector<float> z = wb.multiply(x);
+          for (std::size_t j = 0; j < z.size(); ++j) z[j] += layer.bias[j];
+          g_sink = static_cast<std::size_t>(z[0] > 0.0f);
+        },
+        window);
+    const double packed_ns = ns_per_op(
+        [&] {
+          const std::vector<float> z = packed.preactivate(x);
+          g_sink = static_cast<std::size_t>(z[0] > 0.0f);
+        },
+        window);
+    const double speedup = float_ns / packed_ns;
+    std::printf("\n%-28s %12.0f ns/layer\n", "bnn_forward_float_768x256",
+                float_ns);
+    std::printf("%-28s %12.0f ns/layer\n", "bnn_forward_packed_768x256",
+                packed_ns);
+    std::printf("%-28s %11.2fx\n", "packed_over_float", speedup);
+    host_ns.push_back({"bnn_forward_float_768x256", float_ns});
+    host_ns.push_back({"bnn_forward_packed_768x256", packed_ns});
+    ratios.push_back({"bnn_forward_packed_over_float", speedup});
   }
 
   // --- execution engines: pipelined vs sequential tile walk -----------------

@@ -10,6 +10,12 @@
 //    (gradient passed where |preact| <= 1, else clipped);
 //  * softmax cross-entropy on the last layer's (binary-weight) scores;
 //  * Adam updates on the latent weights with [-1, 1] clipping.
+//
+// Every forward pass (scores, predict, forward_trace, accuracy and the
+// trainer's forward half) runs on a PackedBnn: the weights' sign bits packed
+// 64 per word, with XNOR-popcount preactivations that equal the float
+// Wb x + b bit for bit (see PackedLayer). Inputs must therefore be exactly
+// {-1,+1}.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +45,6 @@ struct BnnLayer {
 
   /// Deployed binary weight: sign(latent) in {-1,+1} (sign(0) := +1).
   [[nodiscard]] float binary_weight(std::size_t out, std::size_t in) const;
-
-  /// Pre-activation with binarized weights: a = Wb x + b.
-  [[nodiscard]] std::vector<float> preactivate(
-      const std::vector<float>& x) const;
 };
 
 /// Sign activation in {-1,+1} with sign(0) := +1 (matches the SNN mapping
@@ -61,7 +63,10 @@ class BnnNetwork {
   [[nodiscard]] std::vector<BnnLayer>& layers() { return layers_; }
   [[nodiscard]] std::vector<std::size_t> shape() const;
 
-  /// Class scores for a {-1,+1} input vector.
+  /// Class scores for a {-1,+1} input vector. scores, predict and
+  /// forward_trace pack the weights on every call; loops over many inputs
+  /// should build one PackedBnn instead. All four throw
+  /// std::invalid_argument on an input entry other than -1 or +1.
   [[nodiscard]] std::vector<float> scores(const std::vector<float>& x) const;
 
   /// argmax of scores.
@@ -72,7 +77,7 @@ class BnnNetwork {
   [[nodiscard]] std::vector<std::vector<float>> forward_trace(
       const std::vector<float>& x) const;
 
-  /// Fraction of correct predictions.
+  /// Fraction of correct predictions (one PackedBnn for the whole set).
   [[nodiscard]] double accuracy(const std::vector<std::vector<float>>& xs,
                                 const std::vector<std::uint8_t>& ys) const;
 
@@ -87,6 +92,65 @@ class BnnNetwork {
 
  private:
   std::vector<BnnLayer> layers_;
+};
+
+/// Immutable XNOR-popcount snapshot of one layer: each row of sign(latent)
+/// packed 64 bits per word (bit set for +1, tail bits zero), each row's
+/// popcount, and a copy of the bias. For a {-1,+1} input x packed the same
+/// way, with n = in_features(),
+///   z[j] = float(n - 2 * popcount(w_j ^ x)) + bias[j]
+///        = float(n - 2 * (ones(w_j) + ones(x) - 2 * and_count(w_j, x)))
+///          + bias[j],
+/// computed with the active util::simd kernels. This equals the float path
+/// binarize(latent).multiply(x) + bias bit for bit: every partial sum of the
+/// float dot product is an integer of magnitude <= n < 2^24, hence exact,
+/// both paths map latent >= 0.0f (-0.0f included) to +1, and the bias is
+/// added with the same single rounding. The snapshot does not follow later
+/// edits to the layer; build a new one after changing `latent` or `bias`.
+class PackedLayer {
+ public:
+  explicit PackedLayer(const BnnLayer& layer);
+
+  [[nodiscard]] std::size_t out_features() const { return bias_.size(); }
+  /// 64-bit words per packed row and per packed input.
+  [[nodiscard]] std::size_t words() const { return words_; }
+
+  /// z = Wb x + b for an input already packed into words() words (tail bits
+  /// zero); `z` has out_features() entries.
+  void preactivate(const std::uint64_t* x, float* z) const;
+
+  /// Checked form: packs `x` (which must hold in_features() entries, each
+  /// exactly -1 or +1) and returns z. Throws std::invalid_argument otherwise.
+  [[nodiscard]] std::vector<float> preactivate(
+      const std::vector<float>& x) const;
+
+ private:
+  std::size_t in_ = 0;
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> bits_;  ///< out x words_, row-major
+  std::vector<std::int32_t> ones_;   ///< popcount of each packed row
+  std::vector<float> bias_;
+};
+
+/// Immutable packed snapshot of a whole network (one PackedLayer per layer).
+/// Build it once per evaluation pass or training batch; it is not a cache
+/// and never sees later edits to the BnnNetwork it was taken from.
+class PackedBnn {
+ public:
+  explicit PackedBnn(const BnnNetwork& net);
+
+  [[nodiscard]] const std::vector<PackedLayer>& layers() const {
+    return layers_;
+  }
+
+  /// Same contracts as the BnnNetwork methods of the same names.
+  [[nodiscard]] std::vector<float> scores(const std::vector<float>& x) const;
+  [[nodiscard]] std::size_t predict(const std::vector<float>& x) const;
+  [[nodiscard]] std::vector<std::vector<float>> forward_trace(
+      const std::vector<float>& x) const;
+
+ private:
+  std::vector<PackedLayer> layers_;
 };
 
 /// Adam + STE trainer.
@@ -110,7 +174,9 @@ class BnnTrainer {
  public:
   BnnTrainer(BnnNetwork& net, TrainConfig cfg);
 
-  /// One full epoch over (xs, ys); returns mean cross-entropy loss.
+  /// One full epoch over (xs, ys); returns mean cross-entropy loss. Every
+  /// xs entry must be exactly -1 or +1 (the forward half is packed), or the
+  /// epoch throws std::invalid_argument.
   double train_epoch(const std::vector<std::vector<float>>& xs,
                      const std::vector<std::uint8_t>& ys);
 

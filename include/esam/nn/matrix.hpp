@@ -37,7 +37,9 @@ class Matrix {
   [[nodiscard]] std::vector<float>& flat() { return data_; }
   [[nodiscard]] const std::vector<float>& flat() const { return data_; }
 
-  /// y = this * x  (rows x cols) * (cols) -> (rows)
+  /// y = this * x  (rows x cols) * (cols) -> (rows). The library's BNN
+  /// forward runs on nn::PackedBnn; this float product is the oracle the
+  /// tests and the microbench compare it against.
   [[nodiscard]] std::vector<float> multiply(const std::vector<float>& x) const;
 
   /// y = this^T * x  (cols) <- (rows)

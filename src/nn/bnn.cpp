@@ -2,6 +2,7 @@
 
 #include "esam/util/crc32.hpp"
 #include "esam/util/log.hpp"
+#include "esam/util/simd.hpp"
 #include "esam/util/table.hpp"
 
 #include <unistd.h>
@@ -16,8 +17,8 @@
 namespace esam::nn {
 namespace {
 
-/// Materializes the binarized weights of a layer (hot loops want a flat
-/// array, not a per-element branch).
+/// Materializes the binarized weights of a layer as floats, for the
+/// straight-through backward's Wb^T dz (the forward runs on PackedLayer).
 Matrix binarize(const Matrix& latent) {
   Matrix wb(latent.rows(), latent.cols());
   const auto& src = latent.flat();
@@ -26,6 +27,61 @@ Matrix binarize(const Matrix& latent) {
     dst[i] = src[i] >= 0.0f ? 1.0f : -1.0f;
   }
   return wb;
+}
+
+std::size_t words_for(std::size_t n) { return (n + 63) / 64; }
+
+/// Packs sign bits (bit set where v >= 0.0f, so -0.0f maps to +1 exactly
+/// as sign_activation and binary_weight do) into words_for(n) words. The
+/// compare-and-shift keeps the inner loop branch-free.
+void pack_signs(const float* v, std::size_t n, std::uint64_t* out) {
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::size_t len = std::min<std::size_t>(64, n - base);
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < len; ++b) {
+      word |= static_cast<std::uint64_t>(v[base + b] >= 0.0f) << b;
+    }
+    out[base / 64] = word;
+  }
+}
+
+/// Packs a {-1,+1} vector into words_for(x.size()) words (bit set for +1).
+/// Throws std::invalid_argument on any other value, 0.0f and -0.0f
+/// included: the packed forward is exact only for bipolar inputs.
+void pack_bipolar(const std::vector<float>& x, std::uint64_t* out) {
+  bool bad = false;
+  for (std::size_t base = 0; base < x.size(); base += 64) {
+    const std::size_t len = std::min<std::size_t>(64, x.size() - base);
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < len; ++b) {
+      const float v = x[base + b];
+      word |= static_cast<std::uint64_t>(v == 1.0f) << b;
+      bad |= (v != 1.0f) & (v != -1.0f);
+    }
+    out[base / 64] = word;
+  }
+  if (bad) {
+    throw std::invalid_argument(
+        "BNN forward: every input entry must be exactly -1 or +1");
+  }
+}
+
+/// The one packed forward pass: hands each layer's preactivations z to
+/// `visit(l, z)` and feeds hidden layers' sign(z) on as packed bits. Layer
+/// 0's checked preactivate validates and packs `x`.
+template <typename Visit>
+void packed_forward(const std::vector<PackedLayer>& layers,
+                    const std::vector<float>& x, Visit&& visit) {
+  std::vector<float> z = layers.front().preactivate(x);
+  visit(0, z);
+  std::vector<std::uint64_t> bits;
+  for (std::size_t l = 1; l < layers.size(); ++l) {
+    bits.resize(layers[l].words());
+    pack_signs(z.data(), z.size(), bits.data());
+    z.resize(layers[l].out_features());
+    layers[l].preactivate(bits.data(), z.data());
+    visit(l, z);
+  }
 }
 
 }  // namespace
@@ -46,11 +102,87 @@ float BnnLayer::binary_weight(std::size_t out, std::size_t in) const {
   return latent.at(out, in) >= 0.0f ? 1.0f : -1.0f;
 }
 
-std::vector<float> BnnLayer::preactivate(const std::vector<float>& x) const {
-  const Matrix wb = binarize(latent);
-  std::vector<float> z = wb.multiply(x);
-  for (std::size_t j = 0; j < z.size(); ++j) z[j] += bias[j];
+PackedLayer::PackedLayer(const BnnLayer& layer)
+    : in_(layer.in_features()),
+      words_(words_for(layer.in_features())),
+      bits_(layer.out_features() * words_for(layer.in_features())),
+      ones_(layer.out_features()),
+      bias_(layer.bias) {
+  // Past 2^24 the float path's partial sums stop being exact integers, so
+  // the two paths could differ.
+  if (in_ == 0 || in_ >= (std::size_t{1} << 24) ||
+      bias_.size() != layer.out_features()) {
+    throw std::invalid_argument("PackedLayer: bad layer shape");
+  }
+  const util::simd::Kernels& k = util::simd::active();
+  for (std::size_t j = 0; j < ones_.size(); ++j) {
+    std::uint64_t* row = bits_.data() + j * words_;
+    pack_signs(layer.latent.row_data(j), in_, row);
+    ones_[j] = static_cast<std::int32_t>(k.count(row, words_));
+  }
+}
+
+void PackedLayer::preactivate(const std::uint64_t* x, float* z) const {
+  const util::simd::Kernels& k = util::simd::active();
+  const auto n = static_cast<std::int32_t>(in_);
+  const auto x_ones = static_cast<std::int32_t>(k.count(x, words_));
+  for (std::size_t j = 0; j < bias_.size(); ++j) {
+    const auto both = static_cast<std::int32_t>(
+        k.and_count(bits_.data() + j * words_, x, words_));
+    const std::int32_t mismatches = ones_[j] + x_ones - 2 * both;
+    z[j] = static_cast<float>(n - 2 * mismatches) + bias_[j];
+  }
+}
+
+std::vector<float> PackedLayer::preactivate(const std::vector<float>& x) const {
+  if (x.size() != in_) {
+    throw std::invalid_argument("PackedLayer: input width mismatch");
+  }
+  std::vector<std::uint64_t> bits(words_);
+  pack_bipolar(x, bits.data());
+  std::vector<float> z(out_features());
+  preactivate(bits.data(), z.data());
   return z;
+}
+
+PackedBnn::PackedBnn(const BnnNetwork& net) {
+  const auto& src = net.layers();
+  if (src.empty()) throw std::invalid_argument("PackedBnn: empty network");
+  layers_.reserve(src.size());
+  for (std::size_t l = 0; l < src.size(); ++l) {
+    if (l > 0 && src[l].in_features() != src[l - 1].out_features()) {
+      throw std::invalid_argument("PackedBnn: layers do not chain");
+    }
+    layers_.emplace_back(src[l]);
+  }
+}
+
+std::vector<float> PackedBnn::scores(const std::vector<float>& x) const {
+  std::vector<float> out;
+  packed_forward(layers_, x, [&](std::size_t l, const std::vector<float>& z) {
+    if (l + 1 == layers_.size()) out = z;
+  });
+  return out;
+}
+
+std::size_t PackedBnn::predict(const std::vector<float>& x) const {
+  const std::vector<float> s = scores(x);
+  return static_cast<std::size_t>(
+      std::max_element(s.begin(), s.end()) - s.begin());
+}
+
+std::vector<std::vector<float>> PackedBnn::forward_trace(
+    const std::vector<float>& x) const {
+  std::vector<std::vector<float>> trace;
+  trace.reserve(layers_.size() + 1);
+  trace.push_back(x);
+  packed_forward(layers_, x, [&](std::size_t l, const std::vector<float>& z) {
+    trace.push_back(z);
+    if (l + 1 < layers_.size()) {
+      for (auto& v : trace.back()) v = sign_activation(v);
+    }
+  });
+  return trace;
 }
 
 BnnNetwork::BnnNetwork(const std::vector<std::size_t>& shape, util::Rng& rng) {
@@ -72,36 +204,16 @@ std::vector<std::size_t> BnnNetwork::shape() const {
 }
 
 std::vector<float> BnnNetwork::scores(const std::vector<float>& x) const {
-  std::vector<float> a = x;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    std::vector<float> z = layers_[l].preactivate(a);
-    if (l + 1 == layers_.size()) return z;
-    for (auto& v : z) v = sign_activation(v);
-    a = std::move(z);
-  }
-  return a;
+  return PackedBnn(*this).scores(x);
 }
 
 std::size_t BnnNetwork::predict(const std::vector<float>& x) const {
-  const std::vector<float> s = scores(x);
-  return static_cast<std::size_t>(
-      std::max_element(s.begin(), s.end()) - s.begin());
+  return PackedBnn(*this).predict(x);
 }
 
 std::vector<std::vector<float>> BnnNetwork::forward_trace(
     const std::vector<float>& x) const {
-  std::vector<std::vector<float>> trace;
-  trace.push_back(x);
-  std::vector<float> a = x;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    std::vector<float> z = layers_[l].preactivate(a);
-    if (l + 1 < layers_.size()) {
-      for (auto& v : z) v = sign_activation(v);
-    }
-    trace.push_back(z);
-    a = trace.back();
-  }
-  return trace;
+  return PackedBnn(*this).forward_trace(x);
 }
 
 double BnnNetwork::accuracy(const std::vector<std::vector<float>>& xs,
@@ -109,9 +221,10 @@ double BnnNetwork::accuracy(const std::vector<std::vector<float>>& xs,
   if (xs.size() != ys.size() || xs.empty()) {
     throw std::invalid_argument("BnnNetwork::accuracy: bad dataset");
   }
+  const PackedBnn packed(*this);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (predict(xs[i]) == ys[i]) ++correct;
+    if (packed.predict(xs[i]) == ys[i]) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(xs.size());
 }
@@ -245,10 +358,14 @@ void BnnTrainer::train_batch(const std::vector<std::vector<float>>& xs,
   auto& layers = net_->layers();
   const std::size_t n_layers = layers.size();
 
-  // Binarized weights reused across the batch.
-  std::vector<Matrix> wb;
-  wb.reserve(n_layers);
-  for (const auto& l : layers) wb.push_back(binarize(l.latent));
+  // One packed snapshot for the batch's forward passes. The float copies of
+  // sign(latent) serve only the straight-through backward's Wb^T dz, which
+  // layer 0 never needs.
+  const PackedBnn packed(*net_);
+  std::vector<Matrix> wb(n_layers);
+  for (std::size_t l = 1; l < n_layers; ++l) {
+    wb[l] = binarize(layers[l].latent);
+  }
 
   std::vector<Matrix> grad_w;
   std::vector<std::vector<float>> grad_b;
@@ -257,24 +374,23 @@ void BnnTrainer::train_batch(const std::vector<std::vector<float>>& xs,
     grad_b.emplace_back(l.out_features(), 0.0f);
   }
 
+  // Per-layer inputs a (x, then the sign activations) and pre-activations
+  // z, reused across samples.
+  std::vector<std::vector<float>> a(n_layers);
+  std::vector<std::vector<float>> z(n_layers);
   for (std::size_t s = begin; s < end; ++s) {
     const auto& x = xs[idx[s]];
     const std::uint8_t label = ys[idx[s]];
 
-    // Forward, keeping pre-activations z and activations a.
-    std::vector<std::vector<float>> a(n_layers + 1);
-    std::vector<std::vector<float>> z(n_layers);
     a[0] = x;
-    for (std::size_t l = 0; l < n_layers; ++l) {
-      z[l] = wb[l].multiply(a[l]);
-      for (std::size_t j = 0; j < z[l].size(); ++j) {
-        z[l][j] += layers[l].bias[j];
-      }
-      a[l + 1] = z[l];
-      if (l + 1 < n_layers) {
-        for (auto& v : a[l + 1]) v = sign_activation(v);
-      }
-    }
+    packed_forward(packed.layers(), x,
+                   [&](std::size_t l, const std::vector<float>& zl) {
+                     z[l] = zl;
+                     if (l + 1 == n_layers) return;
+                     a[l + 1].resize(zl.size());
+                     std::transform(zl.begin(), zl.end(), a[l + 1].begin(),
+                                    sign_activation);
+                   });
 
     // Softmax cross-entropy on the last pre-activations. Binary-weight
     // logits are integer-scaled sums with magnitudes ~ fan-in, which would

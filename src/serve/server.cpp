@@ -222,16 +222,17 @@ void InferenceServer::worker_loop() {
     if (queue_.empty()) return;  // empty here implies shutdown: drain done
 
     // Dynamic batch formation: hold the partial batch until it fills or the
-    // oldest request's deadline passes. The shutdown drain takes whatever
-    // is queued immediately.
-    const auto deadline = queue_.front().enqueued + budget;
-    // Loop exits when the batch fills, the queue is stolen by another
-    // worker, shutdown begins, or the deadline passes -- a partial batch
-    // dispatches in every case.
+    // oldest queued request's deadline passes. The deadline is re-read from
+    // the current front on every wake-up: another worker may have taken the
+    // request this one started waiting on, and the one behind it has a
+    // later deadline. The shutdown drain takes whatever is queued
+    // immediately. Loop exits when the batch fills, the queue is stolen by
+    // another worker, shutdown begins, or the front's deadline passes -- a
+    // partial batch dispatches in every case.
     while (!stopping_ && !queue_.empty() && queue_.size() < cfg_.max_batch) {
-      if (queue_cv_.wait_until(lk, deadline) == std::cv_status::timeout) {
-        break;
-      }
+      const auto deadline = queue_.front().enqueued + budget;
+      if (Clock::now() >= deadline) break;
+      queue_cv_.wait_until(lk, deadline);
     }
     if (queue_.empty()) continue;  // another worker raced us to the batch
 

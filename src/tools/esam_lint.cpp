@@ -37,6 +37,11 @@
 //                                util::parallel_for) and the inference
 //                                server's long-lived worker and adaptation
 //                                threads (src/serve/server.{hpp,cpp}).
+//   doc-ref-exists     all       every `*.md` a file names (comments and
+//                                strings included) must exist, as a path
+//                                relative to the repository root: a
+//                                citation of a missing document sends the
+//                                reader nowhere.
 //
 // "library" means src/ (minus src/tools/) and include/; "all" adds
 // src/tools/, bench/ and examples/ (both scanned at tool scope -- they may
@@ -51,6 +56,8 @@
 // fixture snippets whose first line declares the expected outcome
 // (`// esam-lint-fixture: expect=no-rand` or `expect=clean`), proving both
 // that every rule fires on a violation and that allowed patterns pass.
+// Fixtures resolve document names against <dir>/../.., the repository root
+// for the in-tree tests/lint_fixtures.
 // Wired as CTest targets `lint` and `lint_selftest`.
 #include <algorithm>
 #include <cctype>
@@ -80,6 +87,8 @@ struct Finding {
 struct SourceFile {
   std::string display_path;
   Scope scope = Scope::kLibrary;
+  /// Repository root that cited `*.md` names are resolved against.
+  fs::path doc_root;
   /// Lines with comments and string/char literals blanked out (same length
   /// as the raw line, so columns still correspond).
   std::vector<std::string> code;
@@ -320,6 +329,37 @@ void rule_no_raw_thread(const SourceFile& f, std::vector<Finding>& out) {
       "hand-rolled thread fan-out; use util::parallel_for");
 }
 
+/// `*.md` names on a raw line: a run of [A-Za-z0-9_./-] ending in ".md"
+/// and not followed by an identifier character.
+std::vector<std::string> cited_docs(const std::string& line) {
+  std::vector<std::string> names;
+  const auto name_char = [](char c) {
+    return ident_char(c) || c == '.' || c == '/' || c == '-';
+  };
+  for (std::size_t pos = line.find(".md"); pos != std::string::npos;
+       pos = line.find(".md", pos + 1)) {
+    const std::size_t end = pos + 3;
+    if (end < line.size() && ident_char(line[end])) continue;
+    std::size_t begin = pos;
+    while (begin > 0 && name_char(line[begin - 1])) --begin;
+    if (begin == pos) continue;  // a bare ".md"
+    names.push_back(line.substr(begin, end - begin));
+  }
+  return names;
+}
+
+void rule_doc_ref_exists(const SourceFile& f, std::vector<Finding>& out) {
+  for (std::size_t i = 0; i < f.raw.size(); ++i) {
+    if (line_allows(f.raw[i], "doc-ref-exists")) continue;
+    for (const std::string& name : cited_docs(f.raw[i])) {
+      if (fs::exists(f.doc_root / name)) continue;
+      out.push_back({f.display_path, i + 1, "doc-ref-exists",
+                     "cites " + name +
+                         ", which does not exist at the repository root"});
+    }
+  }
+}
+
 constexpr RuleFn kRules[] = {
     rule_no_rand,
     rule_no_wall_clock,
@@ -329,13 +369,15 @@ constexpr RuleFn kRules[] = {
     rule_no_naked_new,
     rule_mutex_needs_guard,
     rule_no_raw_thread,
+    rule_doc_ref_exists,
 };
 
 SourceFile load_file(const fs::path& path, Scope scope,
-                     const std::string& display) {
+                     const std::string& display, const fs::path& doc_root) {
   SourceFile f;
   f.display_path = display;
   f.scope = scope;
+  f.doc_root = doc_root;
   std::ifstream in(path);
   std::string line;
   while (std::getline(in, line)) f.raw.push_back(line);
@@ -394,7 +436,7 @@ int scan_tree(const fs::path& root) {
       const bool library = (top == src || top == include) && !in_tools;
       const SourceFile f =
           load_file(p, library ? Scope::kLibrary : Scope::kTool,
-                    fs::relative(p, root).string());
+                    fs::relative(p, root).string(), root);
       ++files;
       const std::vector<Finding> file_findings = run_rules(f);
       findings.insert(findings.end(), file_findings.begin(),
@@ -458,7 +500,7 @@ int self_test(const fs::path& dir) {
                             ? Scope::kTool
                             : Scope::kLibrary;
 
-    const SourceFile f = load_file(p, scope, name);
+    const SourceFile f = load_file(p, scope, name, dir / ".." / "..");
     std::set<std::string> fired;
     for (const Finding& finding : run_rules(f)) fired.insert(finding.rule);
 

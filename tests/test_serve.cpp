@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <thread>
 #include <vector>
@@ -183,6 +184,45 @@ TEST(Serve, DeadlineDispatchesPartialBatches) {
   EXPECT_GE(stats.deadline_dispatches, 1u);
   EXPECT_EQ(stats.full_dispatches, 0u);
   server.stop();
+}
+
+TEST(Serve, StolenFrontWaitsForTheNextRequestsDeadline) {
+  // Both workers start waiting on request A's deadline. B and C arrive half
+  // way through it: one worker takes the full batch {A, B}, and the other
+  // must then hold C until C's own deadline instead of dispatching it alone
+  // when A's passes. Margins are wide on purpose: C must wait at least the
+  // full budget (0.4 s), while a stale deadline would release it after
+  // about half of it, and the 0.2 s left on A's deadline when B arrives
+  // absorbs scheduler stalls.
+  const nn::SnnNetwork snn = random_snn({64, 32, 4}, 413);
+  const auto inputs = random_inputs(3, 64, 414);
+  constexpr double kBudgetUs = 400000.0;
+
+  ServerConfig cfg;
+  cfg.num_workers = 2;
+  cfg.max_batch = 2;
+  cfg.max_delay_us = kBudgetUs;
+  InferenceServer server(tech::imec3nm(), {},
+                         io::Checkpoint::from_network(snn), cfg);
+  server.start();
+
+  auto a = server.submit(inputs[0]);
+  std::this_thread::sleep_for(
+      std::chrono::microseconds(static_cast<long>(kBudgetUs / 2)));
+  auto b = server.submit(inputs[1]);
+  auto c = server.submit(inputs[2]);
+  const InferenceResult ra = a.get();
+  const InferenceResult rb = b.get();
+  const InferenceResult rc = c.get();
+  server.stop();
+
+  EXPECT_EQ(ra.batch_size, 2u);
+  EXPECT_EQ(rb.batch_size, 2u);
+  EXPECT_EQ(rc.batch_size, 1u);
+  EXPECT_GE(rc.queue_wait_us, 0.9 * kBudgetUs);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.full_dispatches, 1u);
+  EXPECT_EQ(stats.deadline_dispatches, 1u);
 }
 
 TEST(Serve, AtomicCheckpointSwapMidStream) {
