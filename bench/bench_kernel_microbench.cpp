@@ -1,18 +1,20 @@
 // K1: microbenchmarks of the simulator kernels -- SIMD bit-kernels, arbiter
-// grant loops, SRAM row reads, the BNN front end's packed forward and the
-// two batch execution engines. These measure the *reproduction's* software
-// performance (how fast the simulator itself runs), not the modelled
-// hardware.
+// grant loops, SRAM row reads, the BNN front end's packed forward, the BNN
+// trainer's weight-gradient pass and the two batch execution engines. These
+// measure the *reproduction's* software performance (how fast the simulator
+// itself runs), not the modelled hardware.
 //
 // Self-contained steady_clock harness (no external benchmark framework), so
 // the binary always builds and can feed the benchmark-regression gate.
 // Absolute ns/op numbers are host-dependent and reported as information
 // only; the within-run speedup *ratios* (SIMD backend vs scalar, packed BNN
-// forward vs the float oracle, pipelined engine vs sequential) are what
+// forward vs the float oracle, the BNN backward on the active kernel table vs
+// the scalar one, pipelined engine vs sequential) are what
 // scripts/check_bench.py gates, since they
 // are comparable across hosts.
 //
 // Usage: bench_kernel_microbench [--smoke] [--json PATH]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -225,6 +227,59 @@ int main(int argc, char** argv) {
     host_ns.push_back({"bnn_forward_float_768x256", float_ns});
     host_ns.push_back({"bnn_forward_packed_768x256", packed_ns});
     ratios.push_back({"bnn_forward_packed_over_float", speedup});
+  }
+
+  // --- BNN trainer backward: weight gradient, active table vs scalar --------
+  {
+    // One batch's 768 -> 256 weight-gradient pass as BnnTrainer runs it:
+    // for each gradient row j and sample s, row += dz[s][j] * a[s] through
+    // axpy_f32, skipping zero dz (about half of them, as behind the STE
+    // window). One pass takes about a millisecond, too close to the smoke
+    // window for a stable ratio, so each side keeps the best of nine
+    // alternating windows of at least 10 ms.
+    constexpr std::size_t kBatch = 64;
+    constexpr std::size_t kIn = 768;
+    constexpr std::size_t kOut = 256;
+    util::Rng rng(22);
+    std::vector<float> a(kBatch * kIn);
+    std::vector<float> dz(kBatch * kOut);
+    std::vector<float> g(kOut * kIn, 0.0f);
+    for (auto& v : a) v = rng.bernoulli(0.5) ? 1.0f : -1.0f;
+    for (auto& v : dz) {
+      v = rng.bernoulli(0.5) ? static_cast<float>(rng.uniform(-0.01, 0.01))
+                             : 0.0f;
+    }
+    const auto grad_pass = [&](const simd::Kernels& k) {
+      for (std::size_t j = 0; j < kOut; ++j) {
+        float* row = g.data() + j * kIn;
+        for (std::size_t s = 0; s < kBatch; ++s) {
+          const float d = dz[s * kOut + j];
+          if (d != 0.0f) k.axpy_f32(row, d, a.data() + s * kIn, kIn);
+        }
+      }
+      g_sink = static_cast<std::size_t>(g[0] > 0.0f);
+    };
+    const simd::Kernels& act = simd::active();
+    const simd::Kernels& ref = simd::scalar_kernels();
+    const double grad_window = window < 0.01 ? 0.01 : window;
+    grad_pass(ref);  // first touch of g outside the timed windows
+    double scalar_ns = 0.0;
+    double active_ns = 0.0;
+    for (int rep = 0; rep < 9; ++rep) {
+      const double s_ns = ns_per_op([&] { grad_pass(ref); }, grad_window);
+      const double a_ns = ns_per_op([&] { grad_pass(act); }, grad_window);
+      scalar_ns = rep == 0 ? s_ns : std::min(scalar_ns, s_ns);
+      active_ns = rep == 0 ? a_ns : std::min(active_ns, a_ns);
+    }
+    const double speedup = scalar_ns / active_ns;
+    std::printf("\n%-28s %12.0f ns/batch\n", "bnn_backward_scalar_64x768x256",
+                scalar_ns);
+    std::printf("%-28s %12.0f ns/batch\n", "bnn_backward_active_64x768x256",
+                active_ns);
+    std::printf("%-28s %11.2fx\n", "backward_simd_speedup", speedup);
+    host_ns.push_back({"bnn_backward_scalar_64x768x256", scalar_ns});
+    host_ns.push_back({"bnn_backward_active_64x768x256", active_ns});
+    ratios.push_back({"bnn_backward_simd_speedup", speedup});
   }
 
   // --- execution engines: pipelined vs sequential tile walk -----------------

@@ -7,7 +7,7 @@
 //  * fully-connected layers with latent float weights, binarized to {-1,+1}
 //    on the forward pass, and float per-neuron biases;
 //  * sign activations with straight-through-estimator (STE) gradients
-//    (gradient passed where |preact| <= 1, else clipped);
+//    (gradient passed where |preact| <= sqrt(fan_in), else zeroed);
 //  * softmax cross-entropy on the last layer's (binary-weight) scores;
 //  * Adam updates on the latent weights with [-1, 1] clipping.
 //
@@ -172,11 +172,14 @@ struct TrainConfig {
 
 class BnnTrainer {
  public:
+  /// Throws std::invalid_argument when cfg.batch_size is 0 or `net` has no
+  /// layers.
   BnnTrainer(BnnNetwork& net, TrainConfig cfg);
 
   /// One full epoch over (xs, ys); returns mean cross-entropy loss. Every
-  /// xs entry must be exactly -1 or +1 (the forward half is packed), or the
-  /// epoch throws std::invalid_argument.
+  /// xs entry must be exactly -1 or +1 (the forward half is packed) and
+  /// every label below the last layer's out_features(), or the epoch throws
+  /// std::invalid_argument.
   double train_epoch(const std::vector<std::vector<float>>& xs,
                      const std::vector<std::uint8_t>& ys);
 
@@ -196,6 +199,9 @@ class BnnTrainer {
   // Adam state per layer.
   std::vector<Matrix> m_w_, v_w_;
   std::vector<std::vector<float>> m_b_, v_b_;
+  // Summed batch gradients per layer; the Adam step resets them to zero.
+  std::vector<Matrix> grad_w_;
+  std::vector<std::vector<float>> grad_b_;
   std::uint64_t step_ = 0;
 };
 

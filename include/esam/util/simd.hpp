@@ -1,11 +1,13 @@
-// Runtime-dispatched SIMD backends for the BitVec / tile hot kernels.
+// Runtime-dispatched SIMD backends for the BitVec / tile hot kernels and the
+// BNN trainer's float backward.
 //
-// Every kernel operates on raw 64-bit word spans (the BitVec storage
+// The bit kernels operate on raw 64-bit word spans (the BitVec storage
 // format: little-endian bit order within each word, tail bits beyond the
-// logical width kept zero). A backend is one table of function pointers;
-// the scalar table is the portable reference, and the AVX2 / NEON tables
-// are compiled only when the target ISA is available at build time and
-// selected at startup only when the running CPU supports it.
+// logical width kept zero); the two float kernels take float spans. A
+// backend is one table of function pointers; the scalar table is the
+// portable reference, and the AVX2 / NEON tables are compiled only when the
+// target ISA is available at build time and selected at startup only when
+// the running CPU supports it.
 //
 // Selection happens once, on first use: the `ESAM_SIMD` environment
 // variable (`scalar`, `avx2`, `neon`) overrides auto-detection, and an
@@ -29,9 +31,10 @@ namespace esam::util::simd {
 
 enum class Backend : std::uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 
-/// One backend's kernel table. `n` is always a count of 64-bit words;
-/// callers guarantee equal-length operands (BitVec enforces width equality
-/// before dispatching).
+/// One backend's kernel table. `n` is a count of 64-bit words for the bit
+/// kernels and a count of floats for the float ones; callers guarantee
+/// equal-length operands (BitVec enforces width equality before
+/// dispatching).
 struct Kernels {
   const char* name;
 
@@ -59,6 +62,14 @@ struct Kernels {
   void (*integrate_saturating)(std::int32_t* vmem, const std::int32_t* ones,
                                std::int32_t grants, std::int32_t lo,
                                std::int32_t hi, std::size_t n);
+  /// y[i] += a * x[i] over `n` floats, as a separate multiply and add
+  /// (never fused into an FMA), so every backend rounds exactly as the
+  /// scalar reference does (NaN payloads aside). `y` and `x` must not
+  /// overlap.
+  void (*axpy_f32)(float* y, float a, const float* x, std::size_t n);
+  /// Packs sign bits of `n` floats into (n + 63) / 64 words: bit i set where
+  /// v[i] >= 0.0f (-0.0f included, NaN excluded), tail bits zero.
+  void (*pack_signs_f32)(const float* v, std::size_t n, std::uint64_t* out);
 };
 
 /// The portable reference table (always available).
@@ -91,6 +102,8 @@ namespace detail {
 /// the dispatcher can reference every backend unconditionally.
 const Kernels* avx2_table();
 const Kernels* neon_table();
+/// The scalar table's pack_signs_f32, for backends without a faster one.
+void scalar_pack_signs_f32(const float* v, std::size_t n, std::uint64_t* out);
 }  // namespace detail
 
 }  // namespace esam::util::simd

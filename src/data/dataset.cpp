@@ -86,12 +86,19 @@ constexpr const char* kGlyphs[10][7] = {
 /// Bilinear sample of a glyph at fractional coordinates (gx in [0,5),
 /// gy in [0,7)); outside the glyph returns 0.
 float sample_glyph(int digit, double gx, double gy) {
+  // A 2x2 footprint wholly outside the 5x7 glyph reads four empty cells;
+  // the blend below would return exactly +0 for it too.
+  if (gx < -1.0 || gx >= 5.0 || gy < -1.0 || gy >= 7.0) return 0.0f;
   auto cell = [&](int cx, int cy) -> float {
     if (cx < 0 || cx >= 5 || cy < 0 || cy >= 7) return 0.0f;
     return kGlyphs[digit][cy][cx] == '#' ? 1.0f : 0.0f;
   };
-  const int x0 = static_cast<int>(std::floor(gx));
-  const int y0 = static_cast<int>(std::floor(gy));
+  // floor() by truncate-and-adjust; the early return bounds gx and gy, so
+  // the casts cannot overflow.
+  int x0 = static_cast<int>(gx);
+  int y0 = static_cast<int>(gy);
+  if (gx < x0) --x0;
+  if (gy < y0) --y0;
   const double fx = gx - x0;
   const double fy = gy - y0;
   const double v = (1 - fx) * (1 - fy) * cell(x0, y0) +

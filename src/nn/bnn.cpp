@@ -31,20 +31,6 @@ Matrix binarize(const Matrix& latent) {
 
 std::size_t words_for(std::size_t n) { return (n + 63) / 64; }
 
-/// Packs sign bits (bit set where v >= 0.0f, so -0.0f maps to +1 exactly
-/// as sign_activation and binary_weight do) into words_for(n) words. The
-/// compare-and-shift keeps the inner loop branch-free.
-void pack_signs(const float* v, std::size_t n, std::uint64_t* out) {
-  for (std::size_t base = 0; base < n; base += 64) {
-    const std::size_t len = std::min<std::size_t>(64, n - base);
-    std::uint64_t word = 0;
-    for (std::size_t b = 0; b < len; ++b) {
-      word |= static_cast<std::uint64_t>(v[base + b] >= 0.0f) << b;
-    }
-    out[base / 64] = word;
-  }
-}
-
 /// Packs a {-1,+1} vector into words_for(x.size()) words (bit set for +1).
 /// Throws std::invalid_argument on any other value, 0.0f and -0.0f
 /// included: the packed forward is exact only for bipolar inputs.
@@ -67,20 +53,49 @@ void pack_bipolar(const std::vector<float>& x, std::uint64_t* out) {
 }
 
 /// The one packed forward pass: hands each layer's preactivations z to
-/// `visit(l, z)` and feeds hidden layers' sign(z) on as packed bits. Layer
-/// 0's checked preactivate validates and packs `x`.
+/// `visit(l, z)` and feeds hidden layers' sign(z) on as packed bits (set
+/// where z >= 0.0f, so -0.0f maps to +1 exactly as sign_activation does).
+/// Layer 0's checked preactivate validates and packs `x`.
 template <typename Visit>
 void packed_forward(const std::vector<PackedLayer>& layers,
                     const std::vector<float>& x, Visit&& visit) {
+  const util::simd::Kernels& k = util::simd::active();
   std::vector<float> z = layers.front().preactivate(x);
   visit(0, z);
   std::vector<std::uint64_t> bits;
   for (std::size_t l = 1; l < layers.size(); ++l) {
     bits.resize(layers[l].words());
-    pack_signs(z.data(), z.size(), bits.data());
+    k.pack_signs_f32(z.data(), z.size(), bits.data());
     z.resize(layers[l].out_features());
     layers[l].preactivate(bits.data(), z.data());
     visit(l, z);
+  }
+}
+
+/// Adam hyper-parameters and per-step bias corrections, hoisted out of the
+/// parameter loop.
+struct AdamStep {
+  float b1, b2, bc1, bc2, lr, eps, inv_batch;
+};
+
+/// One Adam step over `n` parameters `w` that consumes the summed batch
+/// gradient `g`: each entry is scaled by inv_batch, read once and reset to
+/// +0 for the next batch. With raw pointers, the constants passed by value
+/// (no store through `w` can alias them) and -fno-math-errno (so std::sqrt
+/// is one instruction) the loop vectorizes; every element still sees the
+/// same IEEE operations in the same order. `clip` clamps the updated
+/// weights to [-1, 1] (latents, not biases).
+void adam_step(float* w, float* g, float* m, float* v, std::size_t n,
+               AdamStep c, bool clip) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float gi = g[i] * c.inv_batch;
+    g[i] = 0.0f;
+    m[i] = c.b1 * m[i] + (1.0f - c.b1) * gi;
+    v[i] = c.b2 * v[i] + (1.0f - c.b2) * gi * gi;
+    const float mhat = m[i] / c.bc1;
+    const float vhat = v[i] / c.bc2;
+    const float wi = w[i] - c.lr * mhat / (std::sqrt(vhat) + c.eps);
+    w[i] = clip ? std::clamp(wi, -1.0f, 1.0f) : wi;
   }
 }
 
@@ -117,7 +132,7 @@ PackedLayer::PackedLayer(const BnnLayer& layer)
   const util::simd::Kernels& k = util::simd::active();
   for (std::size_t j = 0; j < ones_.size(); ++j) {
     std::uint64_t* row = bits_.data() + j * words_;
-    pack_signs(layer.latent.row_data(j), in_, row);
+    k.pack_signs_f32(layer.latent.row_data(j), in_, row);
     ones_[j] = static_cast<std::int32_t>(k.count(row, words_));
   }
 }
@@ -342,11 +357,19 @@ bool BnnNetwork::load(const std::string& path, BnnNetwork& out) {
 
 BnnTrainer::BnnTrainer(BnnNetwork& net, TrainConfig cfg)
     : net_(&net), cfg_(cfg), rng_(cfg.seed) {
+  if (cfg_.batch_size == 0) {
+    throw std::invalid_argument("BnnTrainer: batch_size must be >= 1");
+  }
+  if (net.layers().empty()) {
+    throw std::invalid_argument("BnnTrainer: empty network");
+  }
   for (const auto& l : net.layers()) {
     m_w_.emplace_back(l.out_features(), l.in_features());
     v_w_.emplace_back(l.out_features(), l.in_features());
     m_b_.emplace_back(l.out_features(), 0.0f);
     v_b_.emplace_back(l.out_features(), 0.0f);
+    grad_w_.emplace_back(l.out_features(), l.in_features());
+    grad_b_.emplace_back(l.out_features(), 0.0f);
   }
 }
 
@@ -357,6 +380,8 @@ void BnnTrainer::train_batch(const std::vector<std::vector<float>>& xs,
                              double& loss_sum) {
   auto& layers = net_->layers();
   const std::size_t n_layers = layers.size();
+  const std::size_t batch = end - begin;
+  const util::simd::Kernels& k = util::simd::active();
 
   // One packed snapshot for the batch's forward passes. The float copies of
   // sign(latent) serve only the straight-through backward's Wb^T dz, which
@@ -367,101 +392,118 @@ void BnnTrainer::train_batch(const std::vector<std::vector<float>>& xs,
     wb[l] = binarize(layers[l].latent);
   }
 
-  std::vector<Matrix> grad_w;
-  std::vector<std::vector<float>> grad_b;
-  for (const auto& l : layers) {
-    grad_w.emplace_back(l.out_features(), l.in_features());
-    grad_b.emplace_back(l.out_features(), 0.0f);
-  }
-
-  // Per-layer inputs a (x, then the sign activations) and pre-activations
-  // z, reused across samples.
-  std::vector<std::vector<float>> a(n_layers);
+  // Forward, sample by sample. Row s of z[l] (batch x out) holds sample s's
+  // pre-activations; row s of act[l] (batch x in, l >= 1) its sign
+  // activations, layer l's input. Layer 0's input rows are the xs entries.
   std::vector<std::vector<float>> z(n_layers);
-  for (std::size_t s = begin; s < end; ++s) {
-    const auto& x = xs[idx[s]];
-    const std::uint8_t label = ys[idx[s]];
-
-    a[0] = x;
-    packed_forward(packed.layers(), x,
+  std::vector<std::vector<float>> act(n_layers);
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    z[l].resize(batch * layers[l].out_features());
+    if (l > 0) act[l].resize(batch * layers[l].in_features());
+  }
+  const auto input_row = [&](std::size_t l, std::size_t s) -> const float* {
+    return l == 0 ? xs[idx[begin + s]].data()
+                  : act[l].data() + s * layers[l].in_features();
+  };
+  for (std::size_t s = 0; s < batch; ++s) {
+    packed_forward(packed.layers(), xs[idx[begin + s]],
                    [&](std::size_t l, const std::vector<float>& zl) {
-                     z[l] = zl;
+                     std::copy(zl.begin(), zl.end(),
+                               z[l].begin() + s * zl.size());
                      if (l + 1 == n_layers) return;
-                     a[l + 1].resize(zl.size());
-                     std::transform(zl.begin(), zl.end(), a[l + 1].begin(),
+                     std::transform(zl.begin(), zl.end(),
+                                    act[l + 1].begin() + s * zl.size(),
                                     sign_activation);
                    });
+  }
 
-    // Softmax cross-entropy on the last pre-activations. Binary-weight
-    // logits are integer-scaled sums with magnitudes ~ fan-in, which would
-    // saturate the softmax; a temperature of sqrt(fan_in) restores useful
-    // gradients without changing the argmax (deployment uses raw scores).
-    std::vector<float>& logits = z[n_layers - 1];
-    const float temp =
-        std::sqrt(static_cast<float>(layers.back().in_features()));
-    const float zmax = *std::max_element(logits.begin(), logits.end());
+  // Softmax cross-entropy on the last pre-activations, in sample order so
+  // loss_sum adds the same terms in the same order. Binary-weight logits
+  // are integer-scaled sums with magnitudes ~ fan-in, which would saturate
+  // the softmax; a temperature of sqrt(fan_in) restores useful gradients
+  // without changing the argmax (deployment uses raw scores).
+  const std::size_t n_out = layers.back().out_features();
+  const float temp =
+      std::sqrt(static_cast<float>(layers.back().in_features()));
+  std::vector<float> dz(batch * n_out);
+  for (std::size_t s = 0; s < batch; ++s) {
+    const float* logits = z.back().data() + s * n_out;
+    const std::uint8_t label = ys[idx[begin + s]];
+    const float zmax = *std::max_element(logits, logits + n_out);
     double denom = 0.0;
-    for (float v : logits) {
-      denom += std::exp(static_cast<double>((v - zmax) / temp));
+    for (std::size_t j = 0; j < n_out; ++j) {
+      denom += std::exp(static_cast<double>((logits[j] - zmax) / temp));
     }
     const double logp =
         static_cast<double>((logits[label] - zmax) / temp) - std::log(denom);
     loss_sum += -logp;
-
-    std::vector<float> dz(logits.size());
-    for (std::size_t j = 0; j < logits.size(); ++j) {
+    for (std::size_t j = 0; j < n_out; ++j) {
       const double p =
           std::exp(static_cast<double>((logits[j] - zmax) / temp)) / denom;
-      dz[j] = static_cast<float>(p) - (j == label ? 1.0f : 0.0f);
-    }
-
-    // Backward with STE through the sign activations. The STE window scales
-    // with sqrt(fan_in), the natural magnitude of the +-1-weighted sums
-    // (a +-1 window would zero nearly all hidden gradients).
-    for (std::size_t l = n_layers; l-- > 0;) {
-      grad_w[l].add_outer(1.0f, dz, a[l]);
-      for (std::size_t j = 0; j < dz.size(); ++j) grad_b[l][j] += dz[j];
-      if (l == 0) break;
-      std::vector<float> da = wb[l].multiply_transposed(dz);
-      const float ste_clip =
-          std::sqrt(static_cast<float>(layers[l - 1].in_features()));
-      dz.assign(da.size(), 0.0f);
-      for (std::size_t j = 0; j < da.size(); ++j) {
-        dz[j] = std::fabs(z[l - 1][j]) <= ste_clip ? da[j] : 0.0f;
-      }
+      dz[s * n_out + j] = static_cast<float>(p) - (j == label ? 1.0f : 0.0f);
     }
   }
 
-  // Adam step on the latent weights and biases; clip latents to [-1, 1].
+  // Backward with STE through the sign activations, one layer at a time
+  // over the whole batch. Every product is dz * (+-1), exact, and every
+  // gradient element sums its terms in sample order (input gradients: in
+  // row order), as the per-sample outer products did. Skipping dz == 0
+  // changes nothing: accumulators start at +0 and never become -0.
+  for (std::size_t l = n_layers; l-- > 0;) {
+    const std::size_t out = layers[l].out_features();
+    const std::size_t in = layers[l].in_features();
+    // Row j of the weight gradient stays in L1 while every sample adds
+    // dz[s][j] * a[s] to it.
+    for (std::size_t j = 0; j < out; ++j) {
+      float* g = grad_w_[l].row_data(j);
+      float gb = grad_b_[l][j];
+      for (std::size_t s = 0; s < batch; ++s) {
+        const float d = dz[s * out + j];
+        gb += d;
+        if (d != 0.0f) k.axpy_f32(g, d, input_row(l, s), in);
+      }
+      grad_b_[l][j] = gb;
+    }
+    if (l == 0) break;
+
+    // dA[s] = Wb^T dz[s], masked by the STE window, is layer l-1's dz. The
+    // window scales with sqrt(fan_in), the natural magnitude of the
+    // +-1-weighted sums (a +-1 window would zero nearly all hidden
+    // gradients).
+    const float ste_clip =
+        std::sqrt(static_cast<float>(layers[l - 1].in_features()));
+    std::vector<float> da(batch * in, 0.0f);
+    for (std::size_t s = 0; s < batch; ++s) {
+      float* das = da.data() + s * in;
+      const float* dzs = dz.data() + s * out;
+      for (std::size_t r = 0; r < out; ++r) {
+        if (dzs[r] != 0.0f) k.axpy_f32(das, dzs[r], wb[l].row_data(r), in);
+      }
+      const float* zs = z[l - 1].data() + s * in;
+      for (std::size_t j = 0; j < in; ++j) {
+        das[j] = std::fabs(zs[j]) <= ste_clip ? das[j] : 0.0f;
+      }
+    }
+    dz = std::move(da);
+  }
+
+  // Adam step on the latent weights (clipped to [-1, 1]) and biases; it
+  // also zeroes the gradients for the next batch.
   ++step_;
-  const float b1 = cfg_.adam_beta1;
-  const float b2 = cfg_.adam_beta2;
-  const float bc1 = 1.0f - std::pow(b1, static_cast<float>(step_));
-  const float bc2 = 1.0f - std::pow(b2, static_cast<float>(step_));
-  const float inv_batch = 1.0f / static_cast<float>(end - begin);
+  const auto t = static_cast<float>(step_);
+  const AdamStep c{.b1 = cfg_.adam_beta1,
+                   .b2 = cfg_.adam_beta2,
+                   .bc1 = 1.0f - std::pow(cfg_.adam_beta1, t),
+                   .bc2 = 1.0f - std::pow(cfg_.adam_beta2, t),
+                   .lr = cfg_.learning_rate,
+                   .eps = cfg_.adam_eps,
+                   .inv_batch = 1.0f / static_cast<float>(batch)};
   for (std::size_t l = 0; l < n_layers; ++l) {
-    auto& lat = layers[l].latent.flat();
-    auto& g = grad_w[l].flat();
-    auto& m = m_w_[l].flat();
-    auto& v = v_w_[l].flat();
-    for (std::size_t i = 0; i < lat.size(); ++i) {
-      const float gi = g[i] * inv_batch;
-      m[i] = b1 * m[i] + (1.0f - b1) * gi;
-      v[i] = b2 * v[i] + (1.0f - b2) * gi * gi;
-      const float mhat = m[i] / bc1;
-      const float vhat = v[i] / bc2;
-      lat[i] -= cfg_.learning_rate * mhat / (std::sqrt(vhat) + cfg_.adam_eps);
-      lat[i] = std::clamp(lat[i], -1.0f, 1.0f);
-    }
-    auto& bias = layers[l].bias;
-    for (std::size_t j = 0; j < bias.size(); ++j) {
-      const float gj = grad_b[l][j] * inv_batch;
-      m_b_[l][j] = b1 * m_b_[l][j] + (1.0f - b1) * gj;
-      v_b_[l][j] = b2 * v_b_[l][j] + (1.0f - b2) * gj * gj;
-      const float mhat = m_b_[l][j] / bc1;
-      const float vhat = v_b_[l][j] / bc2;
-      bias[j] -= cfg_.learning_rate * mhat / (std::sqrt(vhat) + cfg_.adam_eps);
-    }
+    adam_step(layers[l].latent.flat().data(), grad_w_[l].flat().data(),
+              m_w_[l].flat().data(), v_w_[l].flat().data(),
+              layers[l].latent.size(), c, /*clip=*/true);
+    adam_step(layers[l].bias.data(), grad_b_[l].data(), m_b_[l].data(),
+              v_b_[l].data(), layers[l].bias.size(), c, /*clip=*/false);
   }
 }
 
@@ -469,6 +511,13 @@ double BnnTrainer::train_epoch(const std::vector<std::vector<float>>& xs,
                                const std::vector<std::uint8_t>& ys) {
   if (xs.size() != ys.size() || xs.empty()) {
     throw std::invalid_argument("BnnTrainer: bad dataset");
+  }
+  // The loss indexes the last layer's scores by label.
+  const std::size_t n_out = net_->layers().back().out_features();
+  for (const std::uint8_t y : ys) {
+    if (y >= n_out) {
+      throw std::invalid_argument("BnnTrainer: label out of range");
+    }
   }
   std::vector<std::size_t> idx(xs.size());
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;

@@ -137,12 +137,52 @@ void avx2_integrate_saturating(std::int32_t* vmem, const std::int32_t* ones,
   }
 }
 
+/// y += a*x eight floats at a time: _mm256_mul_ps then _mm256_add_ps, the
+/// scalar reference's two roundings (this TU has no -mfma, and the library
+/// builds with -ffp-contract=off).
+void avx2_axpy_f32(float* y, float a, const float* x, std::size_t n) {
+  const __m256 va = _mm256_set1_ps(a);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 prod = _mm256_mul_ps(va, _mm256_loadu_ps(x + i));
+    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), prod));
+  }
+  for (; i < n; ++i) y[i] += a * x[i];
+}
+
+/// Sign bits of eight floats: the ordered >= compare is false for NaN and
+/// true for -0.0f, exactly like the scalar `v >= 0.0f`.
+std::uint64_t avx2_sign_mask8(const float* v) {
+  const __m256 ge =
+      _mm256_cmp_ps(_mm256_loadu_ps(v), _mm256_setzero_ps(), _CMP_GE_OQ);
+  return static_cast<std::uint32_t>(_mm256_movemask_ps(ge));
+}
+
+void avx2_pack_signs_f32(const float* v, std::size_t n, std::uint64_t* out) {
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::size_t len = n - base < 64 ? n - base : 64;
+    std::uint64_t word = 0;
+    std::size_t b = 0;
+    for (; b + 8 <= len; b += 8) word |= avx2_sign_mask8(v + base + b) << b;
+    for (; b < len; ++b) {
+      word |= static_cast<std::uint64_t>(v[base + b] >= 0.0f) << b;
+    }
+    out[base / 64] = word;
+  }
+}
+
 constexpr Kernels kAvx2Table{
-    "avx2",           avx2_count,
-    avx2_and_count,   avx2_and_assign,
-    avx2_or_assign,   avx2_xor_assign,
-    avx2_andnot_assign, avx2_accumulate_ones,
-    avx2_integrate_saturating,
+    .name = "avx2",
+    .count = avx2_count,
+    .and_count = avx2_and_count,
+    .and_assign = avx2_and_assign,
+    .or_assign = avx2_or_assign,
+    .xor_assign = avx2_xor_assign,
+    .andnot_assign = avx2_andnot_assign,
+    .accumulate_ones = avx2_accumulate_ones,
+    .integrate_saturating = avx2_integrate_saturating,
+    .axpy_f32 = avx2_axpy_f32,
+    .pack_signs_f32 = avx2_pack_signs_f32,
 };
 
 }  // namespace

@@ -5,6 +5,20 @@
 #include "esam/util/simd.hpp"
 
 namespace esam::util::simd {
+
+namespace detail {
+void scalar_pack_signs_f32(const float* v, std::size_t n, std::uint64_t* out) {
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::size_t len = n - base < 64 ? n - base : 64;
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < len; ++b) {
+      word |= static_cast<std::uint64_t>(v[base + b] >= 0.0f) << b;
+    }
+    out[base / 64] = word;
+  }
+}
+}  // namespace detail
+
 namespace {
 
 std::size_t scalar_count(const std::uint64_t* w, std::size_t n) {
@@ -67,15 +81,25 @@ void scalar_integrate_saturating(std::int32_t* vmem, const std::int32_t* ones,
   }
 }
 
+void scalar_axpy_f32(float* y, float a, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
 }  // namespace
 
 const Kernels& scalar_kernels() {
   static constexpr Kernels kTable{
-      "scalar",          scalar_count,
-      scalar_and_count,  scalar_and_assign,
-      scalar_or_assign,  scalar_xor_assign,
-      scalar_andnot_assign, scalar_accumulate_ones,
-      scalar_integrate_saturating,
+      .name = "scalar",
+      .count = scalar_count,
+      .and_count = scalar_and_count,
+      .and_assign = scalar_and_assign,
+      .or_assign = scalar_or_assign,
+      .xor_assign = scalar_xor_assign,
+      .andnot_assign = scalar_andnot_assign,
+      .accumulate_ones = scalar_accumulate_ones,
+      .integrate_saturating = scalar_integrate_saturating,
+      .axpy_f32 = scalar_axpy_f32,
+      .pack_signs_f32 = detail::scalar_pack_signs_f32,
   };
   return kTable;
 }

@@ -3,8 +3,8 @@
 // Matrix, Matrix::multiply, then the bias add. The two must agree bit for bit
 // (memcmp, not a tolerance) on every in-width around the 64-bit word
 // boundary, on latents of exactly 0.0f and -0.0f, and under every available
-// util::simd backend. A CRC of the weights after a short fixed training run
-// pins the trainer, whose forward half now runs packed.
+// util::simd backend. CRCs of the weights after short fixed training runs
+// pin the trainer (packed forward, batch-ordered backward) on every backend.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -213,23 +213,7 @@ TEST(BnnPacked, SnapshotDoesNotFollowLaterEdits) {
   EXPECT_EQ(PackedBnn(net).scores(x)[0], 0.25f);
 }
 
-// Pins every latent weight and bias after a short fixed training run. The
-// CRC was recorded with the float forward, before the trainer switched to
-// the packed one; the straight-through backward is still float and keeps
-// its summation order, so any difference in a forward pre-activation would
-// change the Adam steps and this CRC.
-TEST(BnnPacked, TrainingRunIsPinned) {
-  const data::PreparedDataset d =
-      data::prepare(data::generate_synthetic_digits(200, 1401), "synthetic");
-  util::Rng rng(1402);
-  BnnNetwork net({768, 64, 10}, rng);
-  TrainConfig cfg;
-  cfg.epochs = 1;
-  cfg.batch_size = 32;
-  cfg.seed = 1403;
-  BnnTrainer trainer(net, cfg);
-  (void)trainer.fit(d.bipolar, d.labels);
-
+std::uint32_t weights_crc(const BnnNetwork& net) {
   std::vector<std::uint8_t> bytes;
   for (const BnnLayer& l : net.layers()) {
     const auto* w =
@@ -238,7 +222,50 @@ TEST(BnnPacked, TrainingRunIsPinned) {
     const auto* b = reinterpret_cast<const std::uint8_t*>(l.bias.data());
     bytes.insert(bytes.end(), b, b + l.bias.size() * sizeof(float));
   }
-  EXPECT_EQ(util::crc32(bytes.data(), bytes.size()), 0xdccc93aau);
+  return util::crc32(bytes.data(), bytes.size());
+}
+
+/// Trains a fresh network of `shape` on `n` synthetic digits for one epoch
+/// under backend `b` and returns the CRC of every latent weight and bias.
+std::uint32_t pinned_fit(simd::Backend b, std::size_t n, std::uint64_t seed,
+                         const std::vector<std::size_t>& shape,
+                         std::size_t batch_size) {
+  EXPECT_TRUE(simd::set_active_backend(b));
+  const data::PreparedDataset d =
+      data::prepare(data::generate_synthetic_digits(n, seed), "synthetic");
+  util::Rng rng(seed + 1);
+  BnnNetwork net(shape, rng);
+  TrainConfig cfg;
+  cfg.epochs = 1;
+  cfg.batch_size = batch_size;
+  cfg.seed = seed + 2;
+  BnnTrainer trainer(net, cfg);
+  (void)trainer.fit(d.bipolar, d.labels);
+  return weights_crc(net);
+}
+
+// Pin every latent weight and bias after short fixed training runs, under
+// every SIMD backend. Both CRCs were recorded with the per-sample float
+// backward (Matrix::add_outer / Matrix::multiply_transposed), the first
+// also with the float forward. The batch-ordered backward sums every
+// gradient element over the same terms in the same order, so any change in
+// a forward pre-activation, a gradient or an Adam step changes these CRCs.
+TEST(BnnPacked, TrainingRunIsPinned) {
+  const BackendGuard guard;
+  for (const simd::Backend b : available_backends()) {
+    EXPECT_EQ(pinned_fit(b, 200, 1401, {768, 64, 10}, 32), 0xdccc93aau)
+        << simd::backend_name(b);
+  }
+}
+
+// Four layers, two hidden layers with input gradients, and a ragged last
+// batch (300 = 4 x 64 + 44).
+TEST(BnnPacked, FourLayerTrainingRunIsPinned) {
+  const BackendGuard guard;
+  for (const simd::Backend b : available_backends()) {
+    EXPECT_EQ(pinned_fit(b, 300, 1501, {768, 256, 256, 10}, 64), 0x4d72e275u)
+        << simd::backend_name(b);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "esam/data/dataset.hpp"
+#include "esam/util/crc32.hpp"
 
 namespace esam::data {
 namespace {
@@ -77,6 +78,18 @@ TEST(Synthetic, DeterministicForSeed) {
   EXPECT_EQ(a.images[7], b.images[7]);
   const Dataset c = generate_synthetic_digits(20, 100);
   EXPECT_NE(a.images[7], c.images[7]);
+}
+
+// Pins every pixel of a fixed synthetic set (CRC-32 over the raw floats),
+// so a faster glyph sampler cannot change the images.
+TEST(Synthetic, ImagesArePinned) {
+  const Dataset d = generate_synthetic_digits(200, 7);
+  std::vector<std::uint8_t> bytes;
+  for (const auto& img : d.images) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(img.data());
+    bytes.insert(bytes.end(), p, p + img.size() * sizeof(float));
+  }
+  EXPECT_EQ(util::crc32(bytes.data(), bytes.size()), 0xfcdd3672u);
 }
 
 TEST(Synthetic, CoversAllTenDigits) {

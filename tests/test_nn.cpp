@@ -169,6 +169,31 @@ TEST(Bnn, LatentWeightsStayClipped) {
   }
 }
 
+TEST(Bnn, ZeroBatchSizeThrows) {
+  // A zero batch would never advance train_epoch and would divide by zero.
+  util::Rng rng(13);
+  BnnNetwork net({4, 2}, rng);
+  TrainConfig cfg;
+  cfg.batch_size = 0;
+  EXPECT_THROW(BnnTrainer(net, cfg), std::invalid_argument);
+  BnnNetwork empty;
+  EXPECT_THROW(BnnTrainer(empty, TrainConfig{}), std::invalid_argument);
+}
+
+TEST(Bnn, OutOfRangeLabelThrows) {
+  // The loss reads scores[label]; a label past the output layer used to
+  // read out of bounds.
+  util::Rng rng(14);
+  BnnNetwork net({4, 2}, rng);
+  const BnnNetwork before = net;
+  const std::vector<std::vector<float>> xs(3, {1.0f, -1.0f, 1.0f, -1.0f});
+  BnnTrainer trainer(net, TrainConfig{});
+  EXPECT_THROW((void)trainer.train_epoch(xs, {0, 1, 2}),
+               std::invalid_argument);
+  EXPECT_EQ(net.layers()[0].latent.flat(), before.layers()[0].latent.flat());
+  EXPECT_NO_THROW((void)trainer.train_epoch(xs, {0, 1, 1}));
+}
+
 TEST(Bnn, SaveLoadRoundTrip) {
   util::Rng rng(12);
   BnnNetwork net({10, 7, 4}, rng);

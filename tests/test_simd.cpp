@@ -1,13 +1,17 @@
 // Differential tests for the runtime-dispatched SIMD kernel backends
 // (include/esam/util/simd.hpp): every available backend must be bit-exact
 // against the portable scalar reference on randomized inputs, including
-// tail-word widths, empty and all-ones vectors -- the modelled numbers must
-// never depend on which backend executed. Also pins backend parsing /
-// selection and the word-parallel arbiter fast path against the structural
-// priority-encoder cascade.
+// tail-word widths, empty and all-ones vectors, and for the float kernels
+// signed zeros, subnormals and NaNs -- the modelled numbers and the trained
+// BNN weights must never depend on which backend executed. Also pins backend
+// parsing / selection and the word-parallel arbiter fast path against the
+// structural priority-encoder cascade.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "esam/arbiter/arbiter.hpp"
@@ -175,6 +179,118 @@ TEST(Simd, IntegrateSaturatingMatchesScalar) {
       }
     }
   }
+}
+
+/// Floats for the float kernels: random values of both signs over several
+/// magnitudes, mixed with +-0.0f, +-1.0f and subnormals of both signs, plus
+/// quiet NaNs when `with_nan`.
+std::vector<float> make_floats(std::size_t n, Rng& rng, bool with_nan) {
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {0.0f, -0.0f, 1.0f, -1.0f, sub, -sub,
+                            3.0e-39f, -3.0e-39f};
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    switch (rng.uniform_index(with_nan ? 4 : 3)) {
+      case 0:
+        x = specials[rng.uniform_index(std::size(specials))];
+        break;
+      case 1:
+        x = static_cast<float>(rng.uniform(-1e-3, 1e-3));
+        break;
+      case 2:
+        x = static_cast<float>(rng.uniform(-8.0, 8.0));
+        break;
+      default:
+        x = std::numeric_limits<float>::quiet_NaN();
+        break;
+    }
+  }
+  return v;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+const std::size_t kFloatCounts[] = {1, 7, 8, 63, 64, 65, 768};
+
+TEST(Simd, AxpyF32MatchesScalar) {
+  const Kernels& ref = scalar_kernels();
+  Rng rng(405);
+  const float sub = std::numeric_limits<float>::denorm_min();
+  for (Backend b : nonscalar_backends()) {
+    const Kernels& k = *kernels_for(b);
+    for (std::size_t n : kFloatCounts) {
+      for (const float a : {1.0f, -1.0f, 0.375f, -3.1e-3f, 0.0f, -0.0f, sub,
+                            static_cast<float>(rng.uniform(-2.0, 2.0))}) {
+        const std::vector<float> x = make_floats(n, rng, false);
+        auto got = make_floats(n, rng, false);
+        auto want = got;
+        k.axpy_f32(got.data(), a, x.data(), n);
+        ref.axpy_f32(want.data(), a, x.data(), n);
+        EXPECT_TRUE(same_bits(got, want))
+            << backend_name(b) << ", n=" << n << ", a=" << a;
+      }
+    }
+  }
+}
+
+TEST(Simd, AxpyF32RoundsTheProductSeparately) {
+  // (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24 rounds (to even) to 1 + 2^-11 as a
+  // float product, so y = -(1 + 2^-11) ends at exactly +0; a fused
+  // multiply-add would leave 2^-24. Every backend must round twice.
+  const float e = std::ldexp(1.0f, -12);
+  const std::vector<float> x(9, 1.0f + e);
+  for (Backend b : {Backend::kScalar, Backend::kAvx2, Backend::kNeon}) {
+    const Kernels* k = kernels_for(b);
+    if (k == nullptr) continue;
+    std::vector<float> y(x.size(), -(1.0f + 2.0f * e));
+    k->axpy_f32(y.data(), 1.0f + e, x.data(), x.size());
+    for (float v : y) {
+      EXPECT_EQ(v, 0.0f) << backend_name(b);
+      EXPECT_FALSE(std::signbit(v)) << backend_name(b);
+    }
+  }
+}
+
+TEST(Simd, PackSignsF32MatchesScalar) {
+  const Kernels& ref = scalar_kernels();
+  Rng rng(406);
+  for (Backend b : nonscalar_backends()) {
+    const Kernels& k = *kernels_for(b);
+    for (std::size_t n : kFloatCounts) {
+      for (const bool with_nan : {false, true}) {
+        const std::vector<float> v = make_floats(n, rng, with_nan);
+        const std::size_t words = (n + 63) / 64;
+        // Garbage in the output: the kernel must overwrite every word.
+        std::vector<std::uint64_t> got(words, ~std::uint64_t{0});
+        std::vector<std::uint64_t> want(words, 0x5a5a5a5a5a5a5a5aULL);
+        k.pack_signs_f32(v.data(), n, got.data());
+        ref.pack_signs_f32(v.data(), n, want.data());
+        EXPECT_EQ(got, want) << backend_name(b) << ", n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Simd, PackSignsF32Semantics) {
+  // Scalar-reference semantics, transferred to every backend above: bit set
+  // where v >= 0.0f (-0.0f and +subnormals included, NaN and -subnormals
+  // excluded), tail bits zero.
+  const float sub = std::numeric_limits<float>::denorm_min();
+  std::vector<float> v(70, -1.0f);
+  v[0] = -0.0f;
+  v[1] = 0.0f;
+  v[2] = std::numeric_limits<float>::quiet_NaN();
+  v[3] = -sub;
+  v[4] = sub;
+  v[63] = 2.0f;
+  v[69] = 0.5f;
+  std::vector<std::uint64_t> w(2, ~std::uint64_t{0});
+  scalar_kernels().pack_signs_f32(v.data(), v.size(), w.data());
+  EXPECT_EQ(w[0], 0b10011ULL | (std::uint64_t{1} << 63));
+  EXPECT_EQ(w[1], std::uint64_t{1} << 5);
 }
 
 TEST(Simd, BitVecOpsIdenticalAcrossBackends) {
