@@ -102,7 +102,8 @@ namespace detail {
 /// the dispatcher can reference every backend unconditionally.
 const Kernels* avx2_table();
 const Kernels* neon_table();
-/// The scalar table's pack_signs_f32, for backends without a faster one.
+/// The scalar table's float kernels, for backends without a faster one.
+void scalar_axpy_f32(float* y, float a, const float* x, std::size_t n);
 void scalar_pack_signs_f32(const float* v, std::size_t n, std::uint64_t* out);
 }  // namespace detail
 

@@ -138,8 +138,8 @@ void avx2_integrate_saturating(std::int32_t* vmem, const std::int32_t* ones,
 }
 
 /// y += a*x eight floats at a time: _mm256_mul_ps then _mm256_add_ps, the
-/// scalar reference's two roundings (this TU has no -mfma, and the library
-/// builds with -ffp-contract=off).
+/// scalar reference's two roundings (this TU has no -mfma, so the scalar
+/// tail cannot be fused either).
 void avx2_axpy_f32(float* y, float a, const float* x, std::size_t n) {
   const __m256 va = _mm256_set1_ps(a);
   std::size_t i = 0;

@@ -121,19 +121,6 @@ void neon_integrate_saturating(std::int32_t* vmem, const std::int32_t* ones,
   }
 }
 
-/// y += a*x four floats at a time: vmulq then vaddq, the scalar reference's
-/// two roundings. The library builds with -ffp-contract=off, so the compiler
-/// may not fuse the pair into an FMLA either.
-void neon_axpy_f32(float* y, float a, const float* x, std::size_t n) {
-  const float32x4_t va = vdupq_n_f32(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t prod = vmulq_f32(va, vld1q_f32(x + i));
-    vst1q_f32(y + i, vaddq_f32(vld1q_f32(y + i), prod));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
 constexpr Kernels kNeonTable{
     .name = "neon",
     .count = neon_count,
@@ -144,7 +131,7 @@ constexpr Kernels kNeonTable{
     .andnot_assign = neon_andnot_assign,
     .accumulate_ones = neon_accumulate_ones,
     .integrate_saturating = neon_integrate_saturating,
-    .axpy_f32 = neon_axpy_f32,
+    .axpy_f32 = detail::scalar_axpy_f32,
     .pack_signs_f32 = detail::scalar_pack_signs_f32,
 };
 

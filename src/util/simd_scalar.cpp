@@ -7,6 +7,10 @@
 namespace esam::util::simd {
 
 namespace detail {
+void scalar_axpy_f32(float* y, float a, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
 void scalar_pack_signs_f32(const float* v, std::size_t n, std::uint64_t* out) {
   for (std::size_t base = 0; base < n; base += 64) {
     const std::size_t len = n - base < 64 ? n - base : 64;
@@ -81,10 +85,6 @@ void scalar_integrate_saturating(std::int32_t* vmem, const std::int32_t* ones,
   }
 }
 
-void scalar_axpy_f32(float* y, float a, const float* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-
 }  // namespace
 
 const Kernels& scalar_kernels() {
@@ -98,7 +98,7 @@ const Kernels& scalar_kernels() {
       .andnot_assign = scalar_andnot_assign,
       .accumulate_ones = scalar_accumulate_ones,
       .integrate_saturating = scalar_integrate_saturating,
-      .axpy_f32 = scalar_axpy_f32,
+      .axpy_f32 = detail::scalar_axpy_f32,
       .pack_signs_f32 = detail::scalar_pack_signs_f32,
   };
   return kTable;
