@@ -1,17 +1,17 @@
 // K1: microbenchmarks of the simulator kernels -- SIMD bit-kernels, arbiter
 // grant loops, SRAM row reads, the BNN front end's packed forward, the BNN
-// trainer's weight-gradient pass and the two batch execution engines. These
-// measure the *reproduction's* software performance (how fast the simulator
-// itself runs), not the modelled hardware.
+// trainer's weight-gradient pass, one tile inference and the two batch
+// execution engines. These measure the *reproduction's* software performance
+// (how fast the simulator itself runs), not the modelled hardware.
 //
 // Self-contained steady_clock harness (no external benchmark framework), so
 // the binary always builds and can feed the benchmark-regression gate.
 // Absolute ns/op numbers are host-dependent and reported as information
 // only; the within-run speedup *ratios* (SIMD backend vs scalar, packed BNN
 // forward vs the float oracle, the BNN backward on the active kernel table vs
-// the scalar one, pipelined engine vs sequential) are what
-// scripts/check_bench.py gates, since they
-// are comparable across hosts.
+// the scalar one, a tile's event-count burst vs its per-cycle step loop,
+// pipelined engine vs sequential) are what scripts/check_bench.py gates,
+// since they are comparable across hosts.
 //
 // Usage: bench_kernel_microbench [--smoke] [--json PATH]
 #include <algorithm>
@@ -280,6 +280,55 @@ int main(int argc, char** argv) {
     host_ns.push_back({"bnn_backward_scalar_64x768x256", scalar_ns});
     host_ns.push_back({"bnn_backward_active_64x768x256", active_ns});
     ratios.push_back({"bnn_backward_simd_speedup", speedup});
+  }
+
+  // --- tile inference: event-count burst vs the per-cycle step loop ---------
+  {
+    // A Fig. 8-shaped hidden tile (768 -> 256, 1RW) at 20 % input density.
+    // burst() integrates each neuron once per inference; the caller-driven
+    // step() loop (the lockstep engine's path) integrates on every cycle.
+    // One inference takes microseconds, so each side keeps the best of nine
+    // alternating windows of at least 10 ms.
+    util::Rng rng(23);
+    const nn::BnnNetwork bnn({768, 256}, rng);
+    const nn::SnnNetwork snn = nn::SnnNetwork::from_bnn(bnn);
+    arch::TileConfig tc;
+    tc.inputs = 768;
+    tc.outputs = 256;
+    tc.cell = sram::CellKind::k1RW;
+    arch::Tile tile(tech::imec3nm(), tc);
+    tile.load_layer(snn.layers()[0]);
+    util::EnergyLedger ledger;
+    tile.attach_ledger(&ledger);
+    const auto inputs = random_inputs(16, 768, 200, 0.2);
+    std::size_t next = 0;
+    const auto burst_op = [&] {
+      g_sink = tile.burst(inputs[next++ % inputs.size()]);
+      g_sink = tile.take_output().count();
+    };
+    const auto step_op = [&] {
+      tile.start_inference(inputs[next++ % inputs.size()]);
+      while (tile.busy()) tile.step();
+      g_sink = tile.take_output().count();
+    };
+    const double tile_window = window < 0.01 ? 0.01 : window;
+    double burst_ns = 0.0;
+    double step_ns = 0.0;
+    for (int rep = 0; rep < 9; ++rep) {
+      const double s_ns = ns_per_op(step_op, tile_window);
+      const double b_ns = ns_per_op(burst_op, tile_window);
+      step_ns = rep == 0 ? s_ns : std::min(step_ns, s_ns);
+      burst_ns = rep == 0 ? b_ns : std::min(burst_ns, b_ns);
+    }
+    const double speedup = step_ns / burst_ns;
+    std::printf("\n%-28s %12.0f ns/inference\n", "tile_step_loop_768x256",
+                step_ns);
+    std::printf("%-28s %12.0f ns/inference\n", "tile_burst_768x256",
+                burst_ns);
+    std::printf("%-28s %11.2fx\n", "burst_over_step_loop", speedup);
+    host_ns.push_back({"tile_step_loop_768x256", step_ns});
+    host_ns.push_back({"tile_burst_768x256", burst_ns});
+    ratios.push_back({"tile_burst_over_step_loop", speedup});
   }
 
   // --- execution engines: pipelined vs sequential tile walk -----------------

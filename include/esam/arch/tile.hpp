@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "esam/arbiter/arbiter.hpp"
@@ -71,8 +70,8 @@ class Tile {
   /// Deep copy: clones the SRAM macros (current weights and faults included)
   /// and detaches any energy ledger. The batched engine uses this to hand
   /// each worker thread its own pipeline.
-  Tile(const Tile& other);
-  Tile& operator=(const Tile& other);
+  Tile(const Tile&) = default;
+  Tile& operator=(const Tile&) = default;
   Tile(Tile&&) noexcept = default;
   Tile& operator=(Tile&&) noexcept = default;
   ~Tile() = default;
@@ -97,7 +96,8 @@ class Tile {
   /// Latches a new inference's input spikes (requires !busy()).
   void start_inference(const BitVec& input_spikes);
 
-  /// Advances one clock cycle (no-op when idle).
+  /// Advances one clock cycle (no-op when idle). A caller-driven step()
+  /// loop integrates every neuron on every cycle, as the hardware does.
   void step();
 
   /// Consumes the fired output spikes (hidden tiles; requires output_ready).
@@ -112,8 +112,15 @@ class Tile {
 
   /// One inference in a burst: start_inference(input), then step until the
   /// tile fires. Returns the busy cycles; throws std::logic_error if the
-  /// tile has not drained after 2^20 steps (a hang detector).
+  /// tile has not drained after 2^20 steps (a hang detector). When no
+  /// neuron can saturate (see event_count()), the neurons integrate once
+  /// per inference instead of once per cycle; every result, counter and
+  /// ledger posting is identical to the step() loop.
   std::uint64_t burst(const BitVec& input);
+  /// Whether burst() takes the event-count path: the membrane does not
+  /// carry across inferences and the fan-in fits the Vmem register, so no
+  /// partial sum can reach a saturation bound.
+  [[nodiscard]] bool event_count() const { return event_count_; }
   /// Output-layer readout: index of the first maximum of output_scores()
   /// (same floats and tie-break as std::max_element), without allocating.
   [[nodiscard]] std::size_t winner() const;
@@ -186,6 +193,9 @@ class Tile {
 
  private:
   void fire_phase();
+  /// Adds 2*ones[c] - grants to every neuron c (the valid-bit sum of the
+  /// granted rows counted in ones_scratch_).
+  void integrate_ones(std::size_t grants);
   [[nodiscard]] std::size_t array_rows(std::size_t row_group) const;
   [[nodiscard]] std::size_t array_cols(std::size_t col_group) const;
 
@@ -194,14 +204,15 @@ class Tile {
   std::size_t row_groups_;
   std::size_t col_groups_;
   /// macros_[rg * col_groups_ + cg]
-  std::vector<std::unique_ptr<sram::SramMacro>> macros_;
+  std::vector<sram::SramMacro> macros_;
   std::vector<arbiter::MultiPortArbiter> arbiters_;
   arbiter::ArbiterTimingModel arbiter_model_;
   std::vector<neuron::IfNeuron> neurons_;
   neuron::NeuronArrayModel neuron_model_;
   std::vector<float> readout_offsets_;
 
-  EnergyLedger* ledger_ = nullptr;
+  /// Detached in a copy: a cloned tile posts nowhere until re-attached.
+  util::LedgerAttachment ledger_;
   TileStats stats_;
   bool busy_ = false;
   bool output_ready_ = false;
@@ -223,6 +234,13 @@ class Tile {
   /// buffers (start_inference), also allocation-free after construction.
   arbiter::GrantSet grant_scratch_;
   std::vector<BitVec> input_slice_scratch_;
+  /// Event-count burst: fixed at construction from the config. While
+  /// `deferred_` is set (one burst() inference), ones_scratch_ counts the
+  /// whole inference, `deferred_grants_` sums its grants, and the neurons
+  /// integrate once just before the fire phase.
+  bool event_count_ = false;
+  bool deferred_ = false;
+  std::size_t deferred_grants_ = 0;
 
   // Energy values that are pure functions of the static configuration,
   // precomputed at construction so the per-cycle loop posts cached values

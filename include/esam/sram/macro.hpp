@@ -51,7 +51,7 @@ class SramMacro {
   [[nodiscard]] const MacroStats& stats() const { return stats_; }
 
   /// Attaches a ledger that receives the energy of every subsequent op.
-  void attach_ledger(EnergyLedger* ledger) { ledger_ = ledger; }
+  void attach_ledger(EnergyLedger* ledger) { ledger_.attach(ledger); }
 
   /// Injects permanent bitcell faults (yield study): stuck cells read their
   /// stuck value through every port and silently ignore writes. Passing a
@@ -137,7 +137,8 @@ class SramMacro {
   std::vector<BitVec> stuck0_;
   std::vector<BitVec> stuck1_;
   MacroStats stats_;
-  EnergyLedger* ledger_ = nullptr;
+  /// Detached in a copy: a cloned macro posts nowhere until re-attached.
+  util::LedgerAttachment ledger_;
 };
 
 }  // namespace esam::sram

@@ -79,4 +79,34 @@ class EnergyLedger {
   Time elapsed_{};
 };
 
+/// Non-owning attachment of a hardware model to an EnergyLedger. A copy
+/// comes out detached, so a cloned model (say, one worker's copy of a tile)
+/// never posts into its source's ledger; a move carries the attachment.
+/// Holding one lets a model's copy operations be defaulted.
+class LedgerAttachment {
+ public:
+  LedgerAttachment() = default;
+  LedgerAttachment(const LedgerAttachment& /*other*/) noexcept {}
+  LedgerAttachment& operator=(const LedgerAttachment& other) noexcept {
+    if (this != &other) ledger_ = nullptr;
+    return *this;
+  }
+  LedgerAttachment(LedgerAttachment&& other) noexcept
+      : ledger_(other.ledger_) {}
+  LedgerAttachment& operator=(LedgerAttachment&& other) noexcept {
+    ledger_ = other.ledger_;
+    return *this;
+  }
+
+  void attach(EnergyLedger* ledger) { ledger_ = ledger; }
+
+  /// Posts `e` to the attached ledger; a no-op when detached.
+  void add(EnergyCategory category, Energy e) const {
+    if (ledger_ != nullptr) ledger_->add(category, e);
+  }
+
+ private:
+  EnergyLedger* ledger_ = nullptr;
+};
+
 }  // namespace esam::util

@@ -57,11 +57,6 @@ struct Kernels {
   /// counters only ever accumulate zeros.
   void (*accumulate_ones)(const std::uint64_t* w, std::size_t n,
                           std::int32_t* ones);
-  /// Saturating membrane update over `n` *counters* (not words):
-  /// vmem[i] = clamp(vmem[i] + 2*ones[i] - grants, lo, hi).
-  void (*integrate_saturating)(std::int32_t* vmem, const std::int32_t* ones,
-                               std::int32_t grants, std::int32_t lo,
-                               std::int32_t hi, std::size_t n);
   /// y[i] += a * x[i] over `n` floats, as a separate multiply and add
   /// (never fused into an FMA), so every backend rounds exactly as the
   /// scalar reference does (NaN payloads aside). `y` and `x` must not

@@ -45,14 +45,18 @@ Tile::Tile(const TechnologyParams& tech, TileConfig cfg)
   macros_.reserve(row_groups_ * col_groups_);
   for (std::size_t rg = 0; rg < row_groups_; ++rg) {
     for (std::size_t cg = 0; cg < col_groups_; ++cg) {
-      macros_.push_back(std::make_unique<sram::SramMacro>(
+      macros_.emplace_back(
           tech, spec,
           sram::ArrayGeometry{array_rows(rg), array_cols(cg), cfg_.col_mux},
-          cfg_.vprech));
+          cfg_.vprech);
     }
     arbiters_.emplace_back(array_rows(rg), ports, cfg_.topology);
   }
   neurons_.assign(cfg_.outputs, neuron::IfNeuron(cfg_.neuron));
+  const auto fan_in = static_cast<std::int64_t>(cfg_.inputs);
+  event_count_ = !cfg_.carry_membrane &&
+                 fan_in <= neurons_.front().saturation_max() &&
+                 -fan_in >= neurons_.front().saturation_min();
   readout_offsets_.assign(cfg_.outputs, 0.0f);
   fire_vmem_.assign(cfg_.outputs, 0);
   row_scratch_.reserve(col_groups_);
@@ -93,49 +97,6 @@ Tile::Tile(const TechnologyParams& tech, TileConfig cfg)
       neuron_model_.compare_energy() * static_cast<double>(cfg_.outputs);
 }
 
-Tile::Tile(const Tile& other)
-    : tech_(other.tech_),
-      cfg_(other.cfg_),
-      row_groups_(other.row_groups_),
-      col_groups_(other.col_groups_),
-      arbiters_(other.arbiters_),
-      arbiter_model_(other.arbiter_model_),
-      neurons_(other.neurons_),
-      neuron_model_(other.neuron_model_),
-      readout_offsets_(other.readout_offsets_),
-      ledger_(nullptr),
-      stats_(other.stats_),
-      busy_(other.busy_),
-      output_ready_(other.output_ready_),
-      output_spikes_(other.output_spikes_),
-      last_input_(other.last_input_),
-      fire_vmem_(other.fire_vmem_),
-      row_scratch_(other.row_scratch_),
-      ones_scratch_(other.ones_scratch_),
-      ones_stride_(other.ones_stride_),
-      grant_scratch_(other.grant_scratch_),
-      input_slice_scratch_(other.input_slice_scratch_),
-      row_read_extra_(other.row_read_extra_),
-      macro_control_energy_(other.macro_control_energy_),
-      arb_cycle_energy_(other.arb_cycle_energy_),
-      arb_ports_(other.arb_ports_),
-      accumulate_energy_(other.accumulate_energy_),
-      compare_energy_total_(other.compare_energy_total_) {
-  macros_.reserve(other.macros_.size());
-  for (const auto& m : other.macros_) {
-    macros_.push_back(std::make_unique<sram::SramMacro>(*m));
-    macros_.back()->attach_ledger(nullptr);
-  }
-}
-
-Tile& Tile::operator=(const Tile& other) {
-  if (this != &other) {
-    Tile tmp(other);
-    *this = std::move(tmp);
-  }
-  return *this;
-}
-
 std::size_t Tile::array_rows(std::size_t row_group) const {
   const std::size_t begin = row_group * cfg_.max_array_dim;
   return std::min(cfg_.max_array_dim, cfg_.inputs - begin);
@@ -153,7 +114,7 @@ void Tile::load_layer(const nn::SnnLayer& layer) {
   }
   for (std::size_t rg = 0; rg < row_groups_; ++rg) {
     for (std::size_t cg = 0; cg < col_groups_; ++cg) {
-      sram::SramMacro& m = *macros_[rg * col_groups_ + cg];
+      sram::SramMacro& m = macros_[rg * col_groups_ + cg];
       const std::size_t row0 = rg * cfg_.max_array_dim;
       const std::size_t col0 = cg * cfg_.max_array_dim;
       std::vector<BitVec> rows(m.geometry().rows, BitVec(m.geometry().cols));
@@ -173,8 +134,8 @@ void Tile::load_layer(const nn::SnnLayer& layer) {
 }
 
 void Tile::attach_ledger(EnergyLedger* ledger) {
-  ledger_ = ledger;
-  for (auto& m : macros_) m->attach_ledger(ledger);
+  ledger_.attach(ledger);
+  for (auto& m : macros_) m.attach_ledger(ledger);
 }
 
 void Tile::start_inference(const BitVec& input_spikes) {
@@ -199,12 +160,11 @@ void Tile::start_inference(const BitVec& input_spikes) {
   }
   busy_ = true;
   output_ready_ = false;
+  deferred_ = false;
   // Fabric cost of receiving the spikes as parallel binary pulses.
-  if (ledger_ != nullptr) {
-    ledger_->add(util::EnergyCategory::kFabric,
-                 util::femtojoules(kFabricEnergyPerSpikeFj *
-                                   static_cast<double>(input_spikes.count())));
-  }
+  ledger_.add(util::EnergyCategory::kFabric,
+              util::femtojoules(kFabricEnergyPerSpikeFj *
+                                static_cast<double>(input_spikes.count())));
 }
 
 void Tile::step() {
@@ -215,8 +175,9 @@ void Tile::step() {
   // columns whose stored bit is 1 and -1 to the rest, and each grant touches
   // every column group; with ones[c] = granted rows whose bit at column c is
   // set, the per-cycle delta is 2*ones[c] - total_grants. Counting set bits
-  // word-by-word replaces the per-bit test() loop.
-  std::fill(ones_scratch_.begin(), ones_scratch_.end(), 0);
+  // word-by-word replaces the per-bit test() loop. A deferred (event-count)
+  // burst keeps counting across cycles and integrates at the fire phase.
+  if (!deferred_) std::fill(ones_scratch_.begin(), ones_scratch_.end(), 0);
   std::size_t total_grants = 0;
   bool all_empty = true;
   const util::simd::Kernels& kern = util::simd::active();
@@ -227,11 +188,9 @@ void Tile::step() {
     if (pending_before == 0) continue;
     arb.arbitrate_into(grant_scratch_);
     const arbiter::GrantSet& grants = grant_scratch_;
-    if (ledger_ != nullptr) {
-      ledger_->add(util::EnergyCategory::kArbiter,
-                   arb_cycle_energy_[pending_before * (arb_ports_ + 1) +
-                                     grants.valid_ports]);
-    }
+    ledger_.add(util::EnergyCategory::kArbiter,
+                arb_cycle_energy_[pending_before * (arb_ports_ + 1) +
+                                  grants.valid_ports]);
     total_grants += grants.valid_ports;
     stats_.spikes_served += grants.valid_ports;
     if (!grants.r_empty_after) all_empty = false;
@@ -239,42 +198,52 @@ void Tile::step() {
     for (std::size_t port = 0; port < grants.valid_ports; ++port) {
       const std::size_t local_row = grants.rows[port];
       for (std::size_t cg = 0; cg < col_groups_; ++cg) {
-        sram::SramMacro& m = *macros_[rg * col_groups_ + cg];
+        sram::SramMacro& m = macros_[rg * col_groups_ + cg];
         BitVec& row_bits = row_scratch_[cg];
         m.read_row_into(port, local_row, row_bits);
         ++stats_.row_reads;
-        if (ledger_ != nullptr) {
-          // Decoder/driver + port output register, beyond the array access.
-          ledger_->add(util::EnergyCategory::kSramRead, row_read_extra_[cg]);
-        }
+        // Decoder/driver + port output register, beyond the array access.
+        ledger_.add(util::EnergyCategory::kSramRead, row_read_extra_[cg]);
         // Word-parallel counter update: ones[c] += bit c of the row. The
         // stride-padded scratch absorbs the full 64-counter blocks.
         kern.accumulate_ones(row_bits.words().data(), row_bits.word_count(),
                              ones_scratch_.data() + cg * ones_stride_);
       }
     }
-    if (ledger_ != nullptr && grants.valid_ports > 0) {
-      ledger_->add(util::EnergyCategory::kClock, macro_control_energy_);
+    if (grants.valid_ports > 0) {
+      ledger_.add(util::EnergyCategory::kClock, macro_control_energy_);
     }
   }
 
   if (total_grants > 0) {
-    const auto grants32 = static_cast<std::int32_t>(total_grants);
-    for (std::size_t cg = 0; cg < col_groups_; ++cg) {
-      const std::int32_t* ones = ones_scratch_.data() + cg * ones_stride_;
-      neuron::IfNeuron* col = neurons_.data() + cg * cfg_.max_array_dim;
-      const std::size_t n = array_cols(cg);
-      for (std::size_t c = 0; c < n; ++c) {
-        col[c].integrate_sum(2 * ones[c] - grants32);
-      }
+    if (deferred_) {
+      deferred_grants_ += total_grants;
+    } else {
+      integrate_ones(total_grants);
     }
-    if (ledger_ != nullptr) {
-      ledger_->add(util::EnergyCategory::kNeuron,
-                   accumulate_energy_[total_grants]);
-    }
+    ledger_.add(util::EnergyCategory::kNeuron,
+                accumulate_energy_[total_grants]);
   }
 
-  if (all_empty) fire_phase();
+  if (all_empty) {
+    if (deferred_) {
+      integrate_ones(deferred_grants_);
+      deferred_ = false;
+    }
+    fire_phase();
+  }
+}
+
+void Tile::integrate_ones(std::size_t grants) {
+  const auto grants32 = static_cast<std::int32_t>(grants);
+  for (std::size_t cg = 0; cg < col_groups_; ++cg) {
+    const std::int32_t* ones = ones_scratch_.data() + cg * ones_stride_;
+    neuron::IfNeuron* col = neurons_.data() + cg * cfg_.max_array_dim;
+    const std::size_t n = array_cols(cg);
+    for (std::size_t c = 0; c < n; ++c) {
+      col[c].integrate_sum(2 * ones[c] - grants32);
+    }
+  }
 }
 
 void Tile::fire_phase() {
@@ -287,9 +256,7 @@ void Tile::fire_phase() {
     if (cfg_.is_output_layer) continue;  // readout tiles expose Vmem instead
     if (neurons_[j].on_r_empty()) output_spikes_.set(j);
   }
-  if (ledger_ != nullptr) {
-    ledger_->add(util::EnergyCategory::kNeuron, compare_energy_total_);
-  }
+  ledger_.add(util::EnergyCategory::kNeuron, compare_energy_total_);
   busy_ = false;
   output_ready_ = true;
   ++stats_.inferences;
@@ -328,6 +295,14 @@ void Tile::consume_output() {
 std::uint64_t Tile::burst(const BitVec& input) {
   constexpr std::uint64_t kStepLimit = std::uint64_t{1} << 20;
   start_inference(input);
+  // Event-count path (DESIGN.md section 6): with no saturation
+  // reachable, the fire-time Vmem is the inference-wide sum of the per-cycle
+  // deltas, so the neurons integrate once. All accounting stays per cycle.
+  if (event_count_) {
+    std::fill(ones_scratch_.begin(), ones_scratch_.end(), 0);
+    deferred_grants_ = 0;
+    deferred_ = true;
+  }
   std::uint64_t cycles = 0;
   while (busy_) {
     step();
@@ -396,7 +371,7 @@ Time Tile::clock_period() const {
 
 Area Tile::array_area() const {
   Area total{};
-  for (const auto& m : macros_) total += m->timing().array_area();
+  for (const auto& m : macros_) total += m.timing().array_area();
   return total;
 }
 
@@ -414,7 +389,7 @@ Area Tile::area() const {
 
 Power Tile::leakage() const {
   Power total{};
-  for (const auto& m : macros_) total += m->timing().leakage();
+  for (const auto& m : macros_) total += m.timing().leakage();
   total += arbiter_model_.leakage() * static_cast<double>(row_groups_);
   total +=
       neuron_model_.leakage_per_neuron() * static_cast<double>(cfg_.outputs);
@@ -437,7 +412,7 @@ nn::SnnLayer Tile::export_layer() const {
   layer.weight_rows.assign(cfg_.inputs, BitVec(cfg_.outputs));
   for (std::size_t rg = 0; rg < row_groups_; ++rg) {
     for (std::size_t cg = 0; cg < col_groups_; ++cg) {
-      const sram::SramMacro& m = *macros_[rg * col_groups_ + cg];
+      const sram::SramMacro& m = macros_[rg * col_groups_ + cg];
       const std::size_t row0 = rg * cfg_.max_array_dim;
       const std::size_t col0 = cg * cfg_.max_array_dim;
       for (std::size_t c = 0; c < m.geometry().cols; ++c) {
@@ -458,12 +433,12 @@ nn::SnnLayer Tile::export_layer() const {
 }
 
 sram::SramMacro& Tile::macro(std::size_t row_group, std::size_t col_group) {
-  return *macros_.at(row_group * col_groups_ + col_group);
+  return macros_.at(row_group * col_groups_ + col_group);
 }
 
 const sram::SramMacro& Tile::macro(std::size_t row_group,
                                    std::size_t col_group) const {
-  return *macros_.at(row_group * col_groups_ + col_group);
+  return macros_.at(row_group * col_groups_ + col_group);
 }
 
 }  // namespace esam::arch

@@ -220,7 +220,7 @@ OpProfile SramMacro::column_update_cost() const {
 }
 
 void SramMacro::post(util::EnergyCategory cat, util::Energy e) {
-  if (ledger_ != nullptr) ledger_->add(cat, e);
+  ledger_.add(cat, e);
 }
 
 void SramMacro::check_row(std::size_t row) const {

@@ -74,17 +74,6 @@ void scalar_accumulate_ones(const std::uint64_t* w, std::size_t n,
   }
 }
 
-void scalar_integrate_saturating(std::int32_t* vmem, const std::int32_t* ones,
-                                 std::int32_t grants, std::int32_t lo,
-                                 std::int32_t hi, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::int32_t v = vmem[i] + 2 * ones[i] - grants;
-    v = v < lo ? lo : v;
-    v = v > hi ? hi : v;
-    vmem[i] = v;
-  }
-}
-
 }  // namespace
 
 const Kernels& scalar_kernels() {
@@ -97,7 +86,6 @@ const Kernels& scalar_kernels() {
       .xor_assign = scalar_xor_assign,
       .andnot_assign = scalar_andnot_assign,
       .accumulate_ones = scalar_accumulate_ones,
-      .integrate_saturating = scalar_integrate_saturating,
       .axpy_f32 = detail::scalar_axpy_f32,
       .pack_signs_f32 = detail::scalar_pack_signs_f32,
   };

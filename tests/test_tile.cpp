@@ -1,8 +1,10 @@
 // Tests for the Tile: decomposition into arrays/arbiters, the cycle-level
-// drain behaviour, firing semantics, and the physical models.
+// drain behaviour, firing semantics, the event-count burst against the
+// per-cycle step loop, copy semantics, and the physical models.
 #include <gtest/gtest.h>
 
 #include "esam/arch/tile.hpp"
+#include "esam/sram/faults.hpp"
 #include "esam/tech/calibration.hpp"
 #include "esam/tech/technology.hpp"
 #include "esam/util/rng.hpp"
@@ -204,6 +206,236 @@ TEST(Tile, EnergyPostedDuringExecution) {
   EXPECT_GT(ledger.energy(util::EnergyCategory::kArbiter).base(), 0.0);
   EXPECT_GT(ledger.energy(util::EnergyCategory::kNeuron).base(), 0.0);
   EXPECT_GT(ledger.energy(util::EnergyCategory::kFabric).base(), 0.0);
+}
+
+// --- event-count burst vs the caller-driven step loop ----------------------
+
+util::BitVec random_spikes(std::size_t width, double density,
+                           std::uint64_t seed) {
+  util::Rng rng(seed);
+  util::BitVec v(width);
+  for (std::size_t i = 0; i < width; ++i) {
+    if (rng.bernoulli(density)) v.set(i);
+  }
+  return v;
+}
+
+/// One inference driven cycle by cycle, as the lockstep engine drives it.
+void step_loop(Tile& t, const util::BitVec& in) {
+  t.start_inference(in);
+  while (t.busy()) t.step();
+}
+
+/// Hands the finished inference's output on (hidden or readout tile).
+void retire(Tile& t) {
+  if (t.config().is_output_layer) {
+    t.consume_output();
+  } else {
+    (void)t.take_output();
+  }
+}
+
+void expect_same_neurons(const Tile& a, const Tile& b) {
+  EXPECT_EQ(a.fire_vmem(), b.fire_vmem());
+  EXPECT_EQ(a.last_output(), b.last_output());
+  EXPECT_EQ(a.output_vmem(), b.output_vmem());
+}
+
+/// Exact equality of every result, counter and ledger category.
+void expect_identical(const Tile& a, const util::EnergyLedger& la,
+                      const Tile& b, const util::EnergyLedger& lb) {
+  expect_same_neurons(a, b);
+  EXPECT_EQ(a.stats().busy_cycles, b.stats().busy_cycles);
+  EXPECT_EQ(a.stats().spikes_served, b.stats().spikes_served);
+  EXPECT_EQ(a.stats().inferences, b.stats().inferences);
+  EXPECT_EQ(a.stats().row_reads, b.stats().row_reads);
+  for (std::size_t rg = 0; rg < a.row_groups(); ++rg) {
+    for (std::size_t cg = 0; cg < a.col_groups(); ++cg) {
+      const sram::MacroStats& ma = a.macro(rg, cg).stats();
+      const sram::MacroStats& mb = b.macro(rg, cg).stats();
+      EXPECT_EQ(ma.inference_row_reads, mb.inference_row_reads);
+      EXPECT_EQ(ma.rw_read_accesses, mb.rw_read_accesses);
+      EXPECT_EQ(ma.rw_write_accesses, mb.rw_write_accesses);
+    }
+  }
+  for (std::size_t c = 0;
+       c < static_cast<std::size_t>(util::EnergyCategory::kCount); ++c) {
+    const auto cat = static_cast<util::EnergyCategory>(c);
+    EXPECT_EQ(la.energy(cat).base(), lb.energy(cat).base())
+        << util::to_string(cat);
+  }
+}
+
+/// burst() on `t` against the step loop on a fresh clone of `t`, over a run
+/// of inferences: empty, sparse, dense and all-spiking inputs.
+void expect_burst_matches_step_loop(const Tile& t, std::uint64_t seed) {
+  Tile burst_tile = t;
+  Tile step_tile = t;
+  util::EnergyLedger burst_ledger;
+  util::EnergyLedger step_ledger;
+  burst_tile.attach_ledger(&burst_ledger);
+  step_tile.attach_ledger(&step_ledger);
+  const std::size_t in = t.config().inputs;
+  std::vector<util::BitVec> inputs = {util::BitVec(in),
+                                      random_spikes(in, 0.2, seed),
+                                      random_spikes(in, 0.7, seed + 1)};
+  inputs.emplace_back(in);
+  for (std::size_t i = 0; i < in; ++i) inputs.back().set(i);
+  for (const util::BitVec& x : inputs) {
+    const std::uint64_t cycles_before = step_tile.stats().busy_cycles;
+    const std::uint64_t cycles = burst_tile.burst(x);
+    step_loop(step_tile, x);
+    expect_identical(burst_tile, burst_ledger, step_tile, step_ledger);
+    EXPECT_EQ(cycles, step_tile.stats().busy_cycles - cycles_before);
+    retire(burst_tile);
+    retire(step_tile);
+  }
+}
+
+TEST(TileEventCount, BurstMatchesStepLoopExactly) {
+  // Fig. 8-like shapes around the 128-row array boundary, hidden (256
+  // outputs) and readout (10 outputs) tiles, with and without stuck cells.
+  std::uint64_t seed = 100;
+  for (const sram::CellKind cell :
+       {sram::CellKind::k1RW, sram::CellKind::k1RW4R}) {
+    for (const std::size_t in : {1u, 127u, 128u, 129u, 768u}) {
+      for (const std::size_t out : {10u, 256u}) {
+        for (const bool faults : {false, true}) {
+          SCOPED_TRACE(std::string(sram::to_string(cell)) + " " +
+                       std::to_string(in) + "x" + std::to_string(out) +
+                       (faults ? " faulty" : ""));
+          TileConfig cfg = config_for(in, out, cell);
+          cfg.is_output_layer = out == 10;
+          Tile t(tech::imec3nm(), cfg);
+          ASSERT_TRUE(t.event_count());
+          t.load_layer(random_layer(in, out, ++seed));
+          if (faults) {
+            util::Rng rng(++seed);
+            for (std::size_t rg = 0; rg < t.row_groups(); ++rg) {
+              for (std::size_t cg = 0; cg < t.col_groups(); ++cg) {
+                sram::SramMacro& m = t.macro(rg, cg);
+                m.apply_faults(sram::sample_fault_map(
+                    m.geometry().rows, m.geometry().cols, 0.05, rng));
+              }
+            }
+          }
+          expect_burst_matches_step_loop(t, ++seed);
+        }
+      }
+    }
+  }
+}
+
+TEST(TileEventCount, GuardFollowsTheVmemRange) {
+  TileConfig cfg = config_for(127, 8);
+  cfg.neuron.vmem_bits = 8;  // Vmem in [-128, 127]
+  EXPECT_TRUE(Tile(tech::imec3nm(), cfg).event_count());
+  cfg.inputs = 128;  // a full positive sum would clamp at 127
+  EXPECT_FALSE(Tile(tech::imec3nm(), cfg).event_count());
+  cfg.inputs = 127;
+  cfg.carry_membrane = true;
+  EXPECT_FALSE(Tile(tech::imec3nm(), cfg).event_count());
+  EXPECT_TRUE(Tile(tech::imec3nm(), config_for(768, 256)).event_count());
+}
+
+TEST(TileEventCount, SaturatingFanInClampsLikeTheStepLoop) {
+  // 6-bit Vmem spans [-32, 31] but 128 inputs can sum to +-128, so partial
+  // sums clamp and the order of the +-1 contributions matters. Column 0 is
+  // all ones; column 1 holds ones on the rows granted first, column 2 on
+  // the rows granted last (fixed priority: lowest row first). Per-cycle
+  // clamping leaves 31, -32 and 31; one inference-wide sum would leave 31,
+  // 0 and 0.
+  TileConfig cfg = config_for(128, 3, sram::CellKind::k1RW4R);
+  cfg.neuron.vmem_bits = 6;
+  cfg.is_output_layer = true;
+  Tile t(tech::imec3nm(), cfg);
+  ASSERT_FALSE(t.event_count());
+  nn::SnnLayer layer;
+  layer.weight_rows.assign(128, util::BitVec(3));
+  layer.thresholds.assign(3, 0);
+  layer.readout_offsets.assign(3, 0.0f);
+  for (std::size_t i = 0; i < 128; ++i) {
+    layer.weight_rows[i].set(0);
+    layer.weight_rows[i].set(i < 64 ? 1 : 2);
+  }
+  t.load_layer(layer);
+  util::BitVec all(128);
+  for (std::size_t i = 0; i < 128; ++i) all.set(i);
+
+  Tile stepped = t;
+  (void)t.burst(all);
+  step_loop(stepped, all);
+  EXPECT_EQ(t.output_vmem(), (std::vector<std::int32_t>{31, -32, 31}));
+  expect_same_neurons(t, stepped);
+}
+
+TEST(TileEventCount, CarriedMembraneMatchesStepLoop) {
+  // Rate-coded operation: the membrane carries across inferences and a
+  // 6-bit Vmem ([-32, 31]) saturates over a few timesteps, so burst() must
+  // stay on the per-cycle path.
+  for (const bool readout : {false, true}) {
+    TileConfig cfg = config_for(256, 64);
+    cfg.carry_membrane = true;
+    cfg.is_output_layer = readout;
+    cfg.neuron.vmem_bits = 6;
+    Tile t(tech::imec3nm(), cfg);
+    ASSERT_FALSE(t.event_count());
+    t.load_layer(random_layer(256, 64, 31, /*vth=*/20));
+    bool clamped = false;
+    Tile stepped = t;
+    util::EnergyLedger burst_ledger;
+    util::EnergyLedger step_ledger;
+    t.attach_ledger(&burst_ledger);
+    stepped.attach_ledger(&step_ledger);
+    for (std::uint64_t step = 0; step < 8; ++step) {
+      const util::BitVec x = random_spikes(256, 0.4, 40 + step);
+      (void)t.burst(x);
+      step_loop(stepped, x);
+      expect_identical(t, burst_ledger, stepped, step_ledger);
+      for (const std::int32_t v : t.fire_vmem()) {
+        clamped = clamped || v == 31 || v == -32;
+      }
+      retire(t);
+      retire(stepped);
+    }
+    EXPECT_TRUE(clamped);
+  }
+}
+
+TEST(TileEventCount, StepLoopAfterBurstMatchesFreshTile) {
+  Tile t(tech::imec3nm(), config_for(768, 256, sram::CellKind::k1RW));
+  t.load_layer(random_layer(768, 256, 51));
+  Tile fresh = t;
+  (void)t.burst(random_spikes(768, 0.3, 52));
+  (void)t.take_output();
+  const util::BitVec x = random_spikes(768, 0.2, 53);
+  step_loop(t, x);
+  step_loop(fresh, x);
+  expect_same_neurons(t, fresh);
+}
+
+TEST(Tile, CopyPostsNothingToTheSourceLedger) {
+  Tile t(tech::imec3nm(), config_for(256, 128));
+  t.load_layer(random_layer(256, 128, 61));
+  util::EnergyLedger ledger;
+  t.attach_ledger(&ledger);
+  const util::BitVec x = random_spikes(256, 0.3, 62);
+
+  Tile copied(t);
+  Tile assigned(tech::imec3nm(), config_for(256, 128));
+  assigned = t;
+  for (Tile* c : {&copied, &assigned}) {
+    (void)c->burst(x);
+    (void)c->take_output();
+    step_loop(*c, x);
+    (void)c->take_output();
+    c->macro(0, 0).write_column(3, c->macro(0, 0).read_column(3));
+  }
+  EXPECT_EQ(ledger.total_energy().base(), 0.0);
+
+  // The source keeps its own attachment.
+  (void)t.burst(x);
+  EXPECT_GT(ledger.total_energy().base(), 0.0);
 }
 
 TEST(Tile, AreaAndLeakageScaleWithCell) {
